@@ -137,10 +137,12 @@ int EventLoop::runOnce(std::chrono::milliseconds max_wait) {
 }
 
 void EventLoop::run() {
-  stop_.store(false, std::memory_order_relaxed);
+  // The flag is consumed on exit, not cleared on entry: a stop() that
+  // lands before the loop thread first gets here must still end the loop.
   while (!stop_.load(std::memory_order_relaxed)) {
     runOnce(std::chrono::milliseconds(100));
   }
+  stop_.store(false, std::memory_order_relaxed);
 }
 
 void EventLoop::stop() {

@@ -3,6 +3,7 @@
 #include <sys/epoll.h>
 
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "net/buffer.h"
@@ -275,6 +276,25 @@ TEST(EventLoop, PostRunsOnLoopAndWakes) {
   }
   poster.join();
   EXPECT_TRUE(ran);
+}
+
+// A stop() that lands before the loop thread reaches run() must still end
+// the loop: owners spawn the thread and may be stopped from another thread
+// before it is first scheduled.
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  EventLoop loop;
+  loop.stop();
+  std::promise<void> exited;
+  auto done = exited.get_future();
+  std::thread runner([&] {
+    loop.run();
+    exited.set_value();
+  });
+  const bool stopped =
+      done.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  if (!stopped) loop.stop();  // Unblock the runner so the failure is clean.
+  runner.join();
+  EXPECT_TRUE(stopped);
 }
 
 TEST(Sockets, ListenConnectAccept) {
