@@ -8,27 +8,28 @@
 //      measured side by side: the rebuild-the-world oracle (full
 //      broadcasts + full reports) and the default delta-coded path
 //      (kScheduleDelta heartbeats, changed-coflows-only reports), with
-//      bytes-on-wire per round recorded for each. A daemons x shards
-//      sweep measures the multi-threaded sharded coordinator against the
-//      single-threaded oracle (--shards 1) at up to 100k daemons and
-//      >= 1M live coflows.
+//      bytes-on-wire per round recorded for each. A daemon sweep times
+//      the coordinator's round at up to 100k daemons, and one point runs
+//      it against >= 1M live coflows.
 //  (b) Simulation: the price of stale coordination — Aalo's improvement
 //      over per-flow fairness as Δ grows.
 //
 // `--json PATH` skips panel (b) and records panel (a) as machine-readable
 // JSON (see tools/bench_net_record.sh): the full/delta A/B at
-// N ∈ {100, 1000}, the shard sweep, HA drills, and the live-coflow point.
-// `--daemons`/`--shards` (comma lists) override the sweep grid;
-// `--sweep-only` records just the shard sweep (the CI perf gate's mode).
+// N ∈ {100, 1000}, the daemon sweep, HA drills, and the live-coflow
+// point. `--daemons` (a comma list) overrides the sweep grid;
+// `--sweep-only` records just the daemon sweep (the CI perf-smoke mode).
 //
-// Host constraints, disclosed in the JSON: this box has one CPU core, so
-// the sharded coordinator's worker threads time-slice it — shard counts
-// > 1 measure the coordination-plane overhead and correctness at scale,
-// not a parallel speedup. RLIMIT_NOFILE (20000, with both ends of every
-// loopback socket in this process) caps physical connections at 2500;
-// above that, logical daemons are multiplexed over shared connections
-// (`mux_factor` per sweep point) — valid because the coordinator keys
-// size reports by the message's daemon_id, not by connection.
+// Host facts go into the JSON: `host_cpus` is the hardware concurrency
+// the run saw. RLIMIT_NOFILE (20000, with both ends of every loopback
+// socket in this process) caps physical connections at 2500; above that,
+// logical daemons are multiplexed over shared connections (`mux_factor`
+// per sweep point). The coordinator files every size report under its
+// connection's Hello daemon_id, not the report's own daemon_id, so it
+// holds one daemon per connection: each sweep point records that count
+// as `coordinator_daemons` beside the logical `daemons`. Above 2500
+// daemons the round therefore carries the report and fan-out traffic of
+// `daemons` machines but the schedule state of `coordinator_daemons`.
 #include <sys/epoll.h>
 #include <unistd.h>
 
@@ -40,6 +41,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "bench/common.h"
@@ -61,6 +63,8 @@ struct RoundCost {
   double down_bytes_per_round = 0; ///< Broadcast bytes, all daemons.
   double up_bytes_per_round = 0;   ///< Size-report bytes, all daemons.
   std::size_t live_coflows = 0;    ///< Coflow population actually driven.
+  /// Daemons the coordinator counted (one per connection that said Hello).
+  std::size_t coordinator_daemons = 0;
 };
 
 struct RoundOptions {
@@ -81,7 +85,6 @@ struct RoundSetup {
   /// `daemons`, each connection multiplexes daemons/connections logical
   /// daemons (Hello once, reports under each logical daemon_id).
   std::size_t connections = 0;
-  std::size_t shards = 1;       ///< CoordinatorConfig::shards.
   /// Coflow population. <= 1000 keeps the legacy shared model (every
   /// daemon reports against the same 100 coflows); above that the
   /// population is partitioned into disjoint per-daemon slices and seeded
@@ -120,7 +123,6 @@ RoundCost measureRounds(const RoundSetup& s) {
           ? s.interval
           : std::max(0.050, static_cast<double>(s.daemons) * 100e-6);
   ccfg.full_broadcasts = s.full_mode;
-  ccfg.shards = s.shards;
   if (s.snapshot_every >= 0) ccfg.snapshot_every = s.snapshot_every;
   if (s.opt.disable_watchdogs || mux > 1) {
     // Multiplexed logical daemons report only when they have traffic; the
@@ -368,9 +370,10 @@ RoundCost measureRounds(const RoundSetup& s) {
       ++counted;
     }
   }
+  RoundCost cost;
+  cost.coordinator_daemons = coordinator.daemonCount();
   daemons.clear();
   coordinator.stop();
-  RoundCost cost;
   cost.avg_fanout_seconds = counted > 0 ? total / counted : -1;
   cost.down_bytes_per_round = bytes_down / s.rounds;
   cost.up_bytes_per_round = bytes_up / s.rounds;
@@ -379,7 +382,7 @@ RoundCost measureRounds(const RoundSetup& s) {
 }
 
 /// Legacy entry point (the full/delta A/B, the isolation drill, table
-/// mode): one connection per daemon, 100 shared coflows, single shard.
+/// mode): one connection per daemon, 100 shared coflows.
 RoundCost measureRounds(std::size_t num_daemons, int rounds, bool full_mode,
                         RoundOptions opt = {}) {
   RoundSetup s;
@@ -521,15 +524,10 @@ std::string formatBytes(double bytes) {
   return buf;
 }
 
-// --- daemons x shards sweep -----------------------------------------------
-
-struct SweepPoint {
-  std::size_t daemons = 0;
-  std::size_t shards = 1;
-};
+// --- daemon sweep ---------------------------------------------------------
 
 struct SweepResult {
-  SweepPoint point;
+  std::size_t daemons = 0;
   std::size_t connections = 0;
   std::size_t mux = 1;
   int rounds = 0;
@@ -537,56 +535,32 @@ struct SweepResult {
   RoundCost cost;
 };
 
-/// Builds the shard-sweep grid: explicit --daemons/--shards lists cross
-/// producted, or the default grid — every shard count at 1000 daemons,
-/// the 1-vs-8 A/B at 10k and 100k.
-std::vector<SweepPoint> sweepGrid(const std::vector<std::size_t>& daemons_list,
-                                  const std::vector<std::size_t>& shards_list) {
-  std::vector<SweepPoint> grid;
-  if (!daemons_list.empty()) {
-    const std::vector<std::size_t> shards =
-        shards_list.empty() ? std::vector<std::size_t>{1, 8} : shards_list;
-    for (const std::size_t d : daemons_list) {
-      for (const std::size_t sh : shards) grid.push_back({d, sh});
-    }
-    return grid;
-  }
-  for (const std::size_t sh : {1ul, 2ul, 4ul, 8ul}) grid.push_back({1000, sh});
-  for (const std::size_t d : {10000ul, 100000ul}) {
-    for (const std::size_t sh : {1ul, 8ul}) grid.push_back({d, sh});
-  }
-  return grid;
-}
-
-SweepResult runSweepPoint(const SweepPoint& p, int rounds_override) {
+SweepResult runSweepPoint(std::size_t daemons, int rounds_override) {
   SweepResult r;
-  r.point = p;
+  r.daemons = daemons;
   // Smallest mux factor that fits the connection ceiling and divides the
   // daemon count evenly (logical daemons per connection must be uniform).
-  std::size_t mux = (p.daemons + kMaxConnections - 1) / kMaxConnections;
-  while (p.daemons % mux != 0) ++mux;
+  std::size_t mux = (daemons + kMaxConnections - 1) / kMaxConnections;
+  while (daemons % mux != 0) ++mux;
   r.mux = mux;
-  r.connections = p.daemons / mux;
+  r.connections = daemons / mux;
   r.rounds = rounds_override > 0 ? rounds_override
-             : p.daemons <= 1000 ? 15
-             : p.daemons <= 10000 ? 10
-                                  : 5;
-  // Identical Δ across shard counts at a given size so the fan-out A/B
-  // compares like with like; grows with N per §7.6.
-  r.interval = std::max(0.050, static_cast<double>(p.daemons) * 20e-6);
+             : daemons <= 1000  ? 15
+             : daemons <= 10000 ? 10
+                                : 5;
+  // Δ grows with N per §7.6.
+  r.interval = std::max(0.050, static_cast<double>(daemons) * 20e-6);
 
   RoundSetup s;
-  s.daemons = p.daemons;
+  s.daemons = daemons;
   s.connections = r.connections;
-  s.shards = p.shards;
   s.rounds = r.rounds;
   s.interval = r.interval;
   s.snapshot_every = 0;  // Periodic snapshot refreshes off the timed path.
   r.cost = measureRounds(s);
   std::fprintf(stderr,
-               "  [sweep %6zu daemons x %zu shards, %4zu conns] round %s, "
-               "down %s, up %s\n",
-               p.daemons, p.shards, r.connections,
+               "  [sweep %6zu daemons, %4zu conns] round %s, down %s, up %s\n",
+               daemons, r.connections,
                util::formatSeconds(r.cost.avg_fanout_seconds).c_str(),
                formatBytes(r.cost.down_bytes_per_round).c_str(),
                formatBytes(r.cost.up_bytes_per_round).c_str());
@@ -595,11 +569,11 @@ SweepResult runSweepPoint(const SweepPoint& p, int rounds_override) {
 
 struct JsonOptions {
   const char* path = nullptr;
+  /// Sweep daemon counts; empty = 1000, 10k and 100k.
   std::vector<std::size_t> daemons_list;
-  std::vector<std::size_t> shards_list;
   int rounds_override = -1;
-  /// Record only the shard sweep (skips the full/delta A/B, the HA
-  /// drills, and the live-coflow point) — the CI perf gate's mode.
+  /// Record only the daemon sweep (skips the full/delta A/B, the HA
+  /// drills, and the live-coflow point) — the CI perf-smoke mode.
   bool sweep_only = false;
   /// Coflow population for the high-cardinality point; 0 skips it.
   std::size_t live_coflows = 1'000'000;
@@ -610,7 +584,7 @@ struct JsonOptions {
 
 /// `--json PATH` mode: the record the acceptance criteria cite
 /// (BENCH_net.json) — the full/delta A/B at N ∈ {100, 1000}, the
-/// daemons x shards sweep, HA drills, and the >= 1M live-coflow point.
+/// daemon sweep, HA drills, and the >= 1M live-coflow point.
 int recordJson(const JsonOptions& jopt) {
   const int rounds = 15;
   std::ofstream out(jopt.path);
@@ -621,11 +595,13 @@ int recordJson(const JsonOptions& jopt) {
   out << "{\n  \"bench\": \"fig14_coordination_data_path\",\n"
       << "  \"rounds\": " << rounds << ",\n  \"coflows\": 100,\n"
       << "  \"changed_per_round\": 5,\n"
-      << "  \"single_core_host\": true,\n"
+      << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"mux_note\": \"logical daemons share TCP connections above "
       << kMaxConnections
       << " (RLIMIT_NOFILE; both socket ends in-process); fan-out timing "
-         "is per connection — see connections/mux_factor per point\",\n"
+         "is per connection, and the coordinator files reports under the "
+         "connection's Hello daemon_id, so it holds coordinator_daemons "
+         "daemons — see connections/mux_factor per point\",\n"
       << "  \"results\": [";
   bool first = true;
   std::unordered_map<std::string, RoundCost> by_key;
@@ -651,19 +627,15 @@ int recordJson(const JsonOptions& jopt) {
   }
   out << "\n  ],";
 
-  // The daemons x shards sweep: the multi-threaded sharded coordinator
-  // against the single-threaded oracle at matched Δ.
-  const auto grid = sweepGrid(jopt.daemons_list, jopt.shards_list);
-  std::vector<SweepResult> sweep;
-  sweep.reserve(grid.size());
-  for (const auto& p : grid) {
-    sweep.push_back(runSweepPoint(p, jopt.rounds_override));
-  }
-  out << "\n  \"shard_sweep\": [";
+  const std::vector<std::size_t> grid =
+      jopt.daemons_list.empty() ? std::vector<std::size_t>{1000, 10000, 100000}
+                                : jopt.daemons_list;
+  out << "\n  \"daemon_sweep\": [";
   first = true;
-  for (const auto& r : sweep) {
-    out << (first ? "" : ",") << "\n    {\"daemons\": " << r.point.daemons
-        << ", \"shards\": " << r.point.shards
+  for (const std::size_t daemons : grid) {
+    const SweepResult r = runSweepPoint(daemons, jopt.rounds_override);
+    out << (first ? "" : ",") << "\n    {\"daemons\": " << r.daemons
+        << ", \"coordinator_daemons\": " << r.cost.coordinator_daemons
         << ", \"connections\": " << r.connections
         << ", \"mux_factor\": " << r.mux << ", \"rounds\": " << r.rounds
         << ", \"interval_s\": " << r.interval
@@ -672,52 +644,27 @@ int recordJson(const JsonOptions& jopt) {
         << ", \"up_bytes_per_round\": " << r.cost.up_bytes_per_round << "}";
     first = false;
   }
-  out << "\n  ],";
-  // Per-size speedup of the highest shard count over --shards 1. On this
-  // one-core host the workers time-slice, so ~1.0 is the honest expected
-  // value; the record exists so multi-core runs can diff against it.
-  out << "\n  \"shard_speedups\": [";
-  first = true;
-  for (const auto& r : sweep) {
-    if (r.point.shards == 1) continue;
-    const SweepResult* base = nullptr;
-    for (const auto& b : sweep) {
-      if (b.point.daemons == r.point.daemons && b.point.shards == 1) base = &b;
-    }
-    if (base == nullptr || r.cost.avg_fanout_seconds <= 0) continue;
-    const double speedup =
-        base->cost.avg_fanout_seconds / r.cost.avg_fanout_seconds;
-    out << (first ? "" : ",") << "\n    {\"daemons\": " << r.point.daemons
-        << ", \"shards\": " << r.point.shards
-        << ", \"round_time_speedup_vs_1shard\": " << speedup << "}";
-    first = false;
-    std::fprintf(stderr,
-                 "  [sweep %6zu daemons] %zu shards vs 1: %.2fx round time\n",
-                 r.point.daemons, r.point.shards, speedup);
-  }
   out << "\n  ]";
 
   if ((!jopt.sweep_only || jopt.live_coflows_explicit) &&
       jopt.live_coflows > 0) {
-    // High-cardinality point: a >= 1M live-coflow schedule state under
-    // the sharded coordinator. Few connections by design — the cost being
-    // measured is the coordination tick against a huge standing
-    // population, not fan-out width.
+    // High-cardinality point: a >= 1M live-coflow schedule state. Few
+    // connections by design — the cost being measured is the coordination
+    // tick against a huge standing population, not fan-out width.
     RoundSetup lc;
     lc.daemons = 256;
     lc.connections = 8;
-    lc.shards = 8;
     lc.coflows = jopt.live_coflows;
     lc.rounds = 10;
     lc.interval = 0.050;
     lc.snapshot_every = 0;
     const RoundCost lcost = measureRounds(lc);
     std::fprintf(stderr,
-                 "  [live-coflows %zu, 256 daemons x 8 shards] round %s\n",
+                 "  [live-coflows %zu, 256 daemons] round %s\n",
                  lcost.live_coflows,
                  util::formatSeconds(lcost.avg_fanout_seconds).c_str());
     out << ",\n  \"live_coflows\": {\"coflows\": " << lcost.live_coflows
-        << ", \"daemons\": 256, \"connections\": 8, \"shards\": 8"
+        << ", \"daemons\": 256, \"connections\": 8"
         << ", \"rounds\": " << lc.rounds
         << ", \"avg_round_s\": " << lcost.avg_fanout_seconds
         << ", \"down_bytes_per_round\": " << lcost.down_bytes_per_round
@@ -813,8 +760,6 @@ int main(int argc, char** argv) {
       jopt.path = needsValue("--json");
     } else if (std::strcmp(argv[i], "--daemons") == 0) {
       jopt.daemons_list = parseSizeList(needsValue("--daemons"));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      jopt.shards_list = parseSizeList(needsValue("--shards"));
     } else if (std::strcmp(argv[i], "--rounds") == 0) {
       jopt.rounds_override = std::atoi(needsValue("--rounds"));
     } else if (std::strcmp(argv[i], "--sweep-only") == 0) {
@@ -826,8 +771,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json PATH] [--daemons N,N,...] "
-                   "[--shards K,K,...] [--rounds R] [--sweep-only] "
-                   "[--live-coflows M]\n",
+                   "[--rounds R] [--sweep-only] [--live-coflows M]\n",
                    argv[0]);
       return 2;
     }
@@ -860,21 +804,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  [fanout %5zu daemons] done\n", n);
   }
   rounds_table.print(std::cout);
-
-  std::printf("\nSharded coordinator fan-out at 1000 daemons "
-              "(delta path, matched Δ; one-core host — workers time-slice):\n");
-  util::Table shard_table({"shards", "round", "wire/round"});
-  for (const std::size_t sh : {1ul, 2ul, 4ul, 8ul}) {
-    const SweepResult r = runSweepPoint({1000, sh}, 10);
-    shard_table.addRow(
-        {std::to_string(sh),
-         r.cost.avg_fanout_seconds < 0
-             ? "timeout"
-             : util::formatSeconds(r.cost.avg_fanout_seconds),
-         formatBytes(r.cost.down_bytes_per_round +
-                     r.cost.up_bytes_per_round)});
-  }
-  shard_table.print(std::cout);
 
   std::printf("\nHigh availability at 1000 daemons (warm standby, "
               "takeover after 5Δ):\n");

@@ -41,9 +41,8 @@ coflow::CoflowId getId(net::Buffer& in) {
   return id;
 }
 
-/// Frames one journal record ([u32 len][type+body][u64 checksum]) into
-/// `out` — the one encoding shared by Checkpoint::pending_ and the
-/// shard-side JournalBatch buffers.
+/// Frames one journal record into `out`:
+/// [u32 len][type + body][u64 fnv1a(type + body)].
 void frameRecord(net::Buffer& out, std::uint8_t type, const net::Buffer& body) {
   net::Buffer payload;
   payload.putU8(type);
@@ -51,26 +50,6 @@ void frameRecord(net::Buffer& out, std::uint8_t type, const net::Buffer& body) {
   out.putU32(static_cast<std::uint32_t>(payload.readableBytes()));
   out.append(payload.readable());
   out.putU64(fnv1a(payload.readable()));
-}
-
-void encodeReportRecord(net::Buffer& body, const net::Message& report) {
-  net::encodeMessage(report, body);
-}
-
-void encodeRegisterRecord(net::Buffer& body, const coflow::CoflowId& id,
-                          std::int64_t next_external) {
-  net::Message m;
-  m.type = net::MessageType::kRegisterReply;
-  m.coflow = id;
-  m.request_id = static_cast<std::uint64_t>(next_external);
-  net::encodeMessage(m, body);
-}
-
-void encodeUnregisterRecord(net::Buffer& body, const coflow::CoflowId& id) {
-  net::Message m;
-  m.type = net::MessageType::kUnregisterCoflow;
-  m.coflow = id;
-  net::encodeMessage(m, body);
 }
 
 bool readFile(const std::string& path, std::vector<std::uint8_t>& out) {
@@ -107,16 +86,6 @@ bool Checkpoint::writeSnapshot(const ScheduleState& state,
                                std::int64_t next_external,
                                const std::vector<util::Bytes>& thresholds,
                                std::size_t max_on) {
-  return writeSnapshot(std::vector<const ScheduleState*>{&state}, tombstones,
-                       fence, epoch, next_external, thresholds, max_on);
-}
-
-bool Checkpoint::writeSnapshot(const std::vector<const ScheduleState*>& states,
-                               const std::vector<coflow::CoflowId>& tombstones,
-                               std::uint64_t fence, std::uint64_t epoch,
-                               std::int64_t next_external,
-                               const std::vector<util::Bytes>& thresholds,
-                               std::size_t max_on) {
   net::Buffer out;
   out.append(kMagic, sizeof(kMagic));
   out.putU32(kVersion);
@@ -126,40 +95,27 @@ bool Checkpoint::writeSnapshot(const std::vector<const ScheduleState*>& states,
   out.putU32(static_cast<std::uint32_t>(thresholds.size()));
   for (util::Bytes t : thresholds) out.putDouble(t);
   out.putU64(static_cast<std::uint64_t>(max_on));
-  std::size_t n_registered = 0;
-  for (const ScheduleState* state : states) {
-    n_registered += state->registeredIds().size();
-  }
-  out.putU32(static_cast<std::uint32_t>(n_registered));
-  for (const ScheduleState* state : states) {
-    for (const auto& id : state->registeredIds()) putId(out, id);
-  }
+  out.putU32(static_cast<std::uint32_t>(state.registeredIds().size()));
+  for (const auto& id : state.registeredIds()) putId(out, id);
   out.putU32(static_cast<std::uint32_t>(tombstones.size()));
   for (const auto& id : tombstones) putId(out, id);
-  // A daemon's reports are spread across shards (its coflows hash
-  // anywhere); the format keys by daemon, so merge per daemon. A coflow
-  // lives in exactly one shard, so concatenating the per-shard maps of
-  // one daemon is a disjoint union.
+  // Daemons whose every reported coflow was unregistered keep an empty
+  // map in the state; they carry nothing and are left out. The daemons
+  // are written in this filtered map's iteration order, which the
+  // CheckpointGolden pins fix byte for byte.
   std::unordered_map<std::uint64_t,
-                     std::vector<const std::unordered_map<coflow::CoflowId,
-                                                          double>*>>
-      by_daemon;
-  for (const ScheduleState* state : states) {
-    for (const auto& [daemon_id, sizes] : state->reportedSizes()) {
-      if (!sizes.empty()) by_daemon[daemon_id].push_back(&sizes);
-    }
+                     const std::unordered_map<coflow::CoflowId, double>*>
+      daemons;
+  for (const auto& [daemon_id, sizes] : state.reportedSizes()) {
+    if (!sizes.empty()) daemons.emplace(daemon_id, &sizes);
   }
-  out.putU32(static_cast<std::uint32_t>(by_daemon.size()));
-  for (const auto& [daemon_id, maps] : by_daemon) {
+  out.putU32(static_cast<std::uint32_t>(daemons.size()));
+  for (const auto& [daemon_id, sizes] : daemons) {
     out.putU64(daemon_id);
-    std::size_t n_sizes = 0;
-    for (const auto* sizes : maps) n_sizes += sizes->size();
-    out.putU32(static_cast<std::uint32_t>(n_sizes));
-    for (const auto* sizes : maps) {
-      for (const auto& [id, bytes] : *sizes) {
-        putId(out, id);
-        out.putDouble(bytes);
-      }
+    out.putU32(static_cast<std::uint32_t>(sizes->size()));
+    for (const auto& [id, bytes] : *sizes) {
+      putId(out, id);
+      out.putDouble(bytes);
     }
   }
   const std::uint64_t checksum = fnv1a(out.readable());
@@ -191,62 +147,28 @@ void Checkpoint::appendRecord(std::uint8_t type, const net::Buffer& body) {
 
 void Checkpoint::journalReport(const net::Message& report) {
   net::Buffer body;
-  encodeReportRecord(body, report);
+  net::encodeMessage(report, body);
   appendRecord(kRecReport, body);
 }
 
 void Checkpoint::journalRegister(const coflow::CoflowId& id,
                                  std::int64_t next_external) {
+  net::Message m;
+  m.type = net::MessageType::kRegisterReply;
+  m.coflow = id;
+  m.request_id = static_cast<std::uint64_t>(next_external);
   net::Buffer body;
-  encodeRegisterRecord(body, id, next_external);
+  net::encodeMessage(m, body);
   appendRecord(kRecRegister, body);
 }
 
 void Checkpoint::journalUnregister(const coflow::CoflowId& id) {
+  net::Message m;
+  m.type = net::MessageType::kUnregisterCoflow;
+  m.coflow = id;
   net::Buffer body;
-  encodeUnregisterRecord(body, id);
+  net::encodeMessage(m, body);
   appendRecord(kRecUnregister, body);
-}
-
-void JournalBatch::report(const net::Message& report) {
-  net::Buffer body;
-  encodeReportRecord(body, report);
-  frameRecord(framed_, kRecReport, body);
-  ++records_;
-}
-
-void JournalBatch::registerCoflow(const coflow::CoflowId& id,
-                                  std::int64_t next_external) {
-  net::Buffer body;
-  encodeRegisterRecord(body, id, next_external);
-  frameRecord(framed_, kRecRegister, body);
-  ++records_;
-}
-
-void JournalBatch::unregisterCoflow(const coflow::CoflowId& id) {
-  net::Buffer body;
-  encodeUnregisterRecord(body, id);
-  frameRecord(framed_, kRecUnregister, body);
-  ++records_;
-}
-
-void JournalBatch::dropDaemon(std::uint64_t daemon_id) {
-  net::Buffer body;
-  body.putU64(daemon_id);
-  frameRecord(framed_, kRecDropDaemon, body);
-  ++records_;
-}
-
-void JournalBatch::clear() {
-  framed_.clear();
-  records_ = 0;
-}
-
-void Checkpoint::absorb(JournalBatch& batch) {
-  if (batch.records_ == 0) return;
-  pending_.append(batch.framed_.readable());
-  records_appended_ += batch.records_;
-  batch.clear();
 }
 
 void Checkpoint::journalDropDaemon(std::uint64_t daemon_id) {
@@ -273,13 +195,8 @@ bool Checkpoint::openJournal(std::uint64_t base_snapshot_checksum,
   body.putU64(base_snapshot_checksum);
   // The start record goes straight to disk (not via pending_) so the
   // binding exists even if the process dies before the first flush.
-  net::Buffer rec;
-  rec.putU8(kRecJournalStart);
-  rec.append(body.readable());
   net::Buffer framed;
-  framed.putU32(static_cast<std::uint32_t>(rec.readableBytes()));
-  framed.append(rec.readable());
-  framed.putU64(fnv1a(rec.readable()));
+  frameRecord(framed, kRecJournalStart, body);
   const auto bytes = framed.readable();
   journal_out_.write(reinterpret_cast<const char*>(bytes.data()),
                      static_cast<std::streamsize>(bytes.size()));

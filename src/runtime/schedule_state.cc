@@ -94,16 +94,6 @@ double ScheduleState::globalBytes(const coflow::CoflowId& id) const {
   return it == global_.end() ? 0.0 : it->second.bytes;
 }
 
-std::optional<net::ScheduleEntry> ScheduleState::entryFor(
-    const coflow::CoflowId& id) const {
-  auto it = global_.find(id);
-  if (it == global_.end()) return std::nullopt;
-  return net::ScheduleEntry{.id = id,
-                            .global_bytes = it->second.bytes,
-                            .queue = it->second.queue,
-                            .on = it->second.on};
-}
-
 std::unordered_map<coflow::CoflowId, double> ScheduleState::globalSizes()
     const {
   std::unordered_map<coflow::CoflowId, double> out;

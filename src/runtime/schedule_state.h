@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -101,26 +100,6 @@ class ScheduleState {
     return registered_;
   }
 
-  struct OrderLess {
-    bool operator()(const std::pair<int, coflow::CoflowId>& a,
-                    const std::pair<int, coflow::CoflowId>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return coflow::CoflowIdFifoLess{}(a.second, b.second);
-    }
-  };
-  using OrderSet = std::set<std::pair<int, coflow::CoflowId>, OrderLess>;
-
-  /// The live schedule order, permanently sorted by (queue, FIFO id).
-  /// Exposed for the sharded coordinator's k-way merge, which walks the
-  /// per-shard heads to find the global top of the schedule.
-  const OrderSet& order() const { return order_; }
-
-  /// Current wire entry for `id` (bytes, queue; `on` as the shard-local
-  /// gate sees it), nullopt when the coflow is not scheduled. Used by the
-  /// cross-shard merge to materialize ON/OFF toggles for coflows whose
-  /// own shard had nothing new to announce.
-  std::optional<net::ScheduleEntry> entryFor(const coflow::CoflowId& id) const;
-
   using TombstoneFilter = std::function<bool(const coflow::CoflowId&)>;
   /// Reference oracle: rebuilds the schedule from scratch out of the
   /// stored per-daemon reports + registrations, exactly as the
@@ -130,6 +109,15 @@ class ScheduleState {
                       std::vector<net::ScheduleEntry>& out) const;
 
  private:
+  struct OrderLess {
+    bool operator()(const std::pair<int, coflow::CoflowId>& a,
+                    const std::pair<int, coflow::CoflowId>& b) const {
+      if (a.first != b.first) return a.first < b.first;
+      return coflow::CoflowIdFifoLess{}(a.second, b.second);
+    }
+  };
+  using OrderSet = std::set<std::pair<int, coflow::CoflowId>, OrderLess>;
+
   struct Entry {
     double bytes = 0;
     int queue = 0;

@@ -22,7 +22,6 @@
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
 #include "runtime/schedule_state.h"
-#include "runtime/shard.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -141,121 +140,6 @@ TEST(CoordinationEquivalence, ScheduleStateMatchesLegacyOracleWithOnBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardSet vs the single ScheduleState oracle: the same seeded op soup is
-// driven into both, and after every round the merged sharded snapshot and
-// the merged delta chain must be bit-identical to the oracle's. This is
-// the schedule-correctness core of the sharded coordinator, exercised
-// deterministically (no threads, no sockets): hash partitioning, the
-// k-way (queue, FIFO-id) merge, and the global ON/OFF gate at merge time.
-
-void fuzzShardSet(std::uint64_t seed, std::size_t max_on, std::size_t shards) {
-  SCOPED_TRACE("seed=" + std::to_string(seed) + " max_on=" +
-               std::to_string(max_on) + " shards=" + std::to_string(shards));
-  const std::vector<util::Bytes> thresholds = {
-      1 * util::kMB, 10 * util::kMB, 100 * util::kMB, 1 * util::kGB};
-  ScheduleState oracle(thresholds, max_on);
-  ShardSet sharded(shards, thresholds, max_on);
-  util::Rng rng(seed);
-
-  std::vector<coflow::CoflowId> live;
-  std::int64_t next_external = 1;
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<coflow::CoflowId, double>>
-      reported;
-
-  struct MirrorEntry {
-    int queue = 0;
-    bool on = true;
-  };
-  // A daemon fed only by the *merged sharded* delta chain.
-  std::unordered_map<coflow::CoflowId, MirrorEntry> mirror;
-
-  std::vector<net::ScheduleEntry> oracle_delta, sharded_delta;
-  std::vector<coflow::CoflowId> oracle_removals, sharded_removals;
-  std::vector<net::ScheduleEntry> oracle_snapshot, sharded_snapshot;
-
-  for (int round = 0; round < 300; ++round) {
-    const int ops = static_cast<int>(rng.uniformInt(1, 5));
-    for (int op = 0; op < ops; ++op) {
-      const double pick = rng.uniform(0, 1);
-      if (pick < 0.20 || live.empty()) {
-        const coflow::CoflowId id{next_external++, 0};
-        oracle.registerCoflow(id);
-        sharded.registerCoflow(id);
-        live.push_back(id);
-      } else if (pick < 0.30) {
-        const auto idx = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-        const coflow::CoflowId id = live[idx];
-        oracle.unregisterCoflow(id);
-        sharded.unregisterCoflow(id);
-        for (auto& [daemon, sizes] : reported) sizes.erase(id);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-      } else if (pick < 0.92) {
-        const auto idx = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-        const auto daemon = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
-        double& bytes = reported[daemon][live[idx]];
-        bytes += static_cast<double>(rng.uniformInt(1, 20000)) * util::kKB;
-        oracle.applySize(daemon, live[idx], bytes);
-        sharded.applySize(daemon, live[idx], bytes);
-      } else {
-        const auto daemon = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
-        oracle.dropDaemon(daemon);
-        sharded.dropDaemon(daemon);
-        reported.erase(daemon);
-      }
-    }
-
-    // One coordination round on both planes.
-    oracle.buildDelta(oracle_delta, oracle_removals);
-    sharded.buildDelta(sharded_delta, sharded_removals);
-
-    // The merged sharded delta must be *wire-identical* to the oracle's —
-    // same entries, same order, same removals — not merely equivalent.
-    ASSERT_EQ(sharded_delta.size(), oracle_delta.size()) << "round " << round;
-    for (std::size_t i = 0; i < oracle_delta.size(); ++i) {
-      EXPECT_EQ(sharded_delta[i], oracle_delta[i]) << "round " << round;
-    }
-    ASSERT_EQ(sharded_removals, oracle_removals) << "round " << round;
-
-    for (const auto& e : sharded_delta) mirror[e.id] = {e.queue, e.on};
-    for (const auto& id : sharded_removals) mirror.erase(id);
-
-    oracle.snapshotEntries(oracle_snapshot);
-    sharded.snapshotEntries(sharded_snapshot);
-    ASSERT_EQ(sharded_snapshot.size(), oracle_snapshot.size())
-        << "round " << round;
-    for (std::size_t i = 0; i < oracle_snapshot.size(); ++i) {
-      EXPECT_EQ(sharded_snapshot[i], oracle_snapshot[i]) << "round " << round;
-    }
-
-    // And the delta-chain mirror must agree with the snapshot.
-    ASSERT_EQ(mirror.size(), sharded_snapshot.size()) << "round " << round;
-    for (const auto& e : sharded_snapshot) {
-      const auto it = mirror.find(e.id);
-      ASSERT_NE(it, mirror.end()) << "round " << round;
-      EXPECT_EQ(it->second.queue, e.queue) << "round " << round;
-      EXPECT_EQ(it->second.on, e.on) << "round " << round;
-    }
-    if (::testing::Test::HasFailure()) return;  // One bad round is enough.
-  }
-}
-
-TEST(CoordinationEquivalence, ShardSetMatchesSingleStateOracle) {
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    fuzzShardSet(11, 0, shards);
-  }
-}
-
-TEST(CoordinationEquivalence, ShardSetMatchesSingleStateOracleWithOnBudget) {
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    fuzzShardSet(12, 5, shards);
-    fuzzShardSet(13, 2, shards);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Full scenario, once per mode: coordinator + a clean daemon + a daemon
 // behind a seeded lossy ChaosProxy; size ramp, a lossy window, a liveness
 // eviction and rejoin, and an unregister. Every observable the data path
@@ -269,7 +153,7 @@ struct ScenarioResult {
   std::uint64_t evicted = 0;
 };
 
-ScenarioResult runScenario(bool full_mode, std::size_t shards = 1) {
+ScenarioResult runScenario(bool full_mode) {
   ScenarioResult result;
 
   CoordinatorConfig ccfg;
@@ -281,7 +165,6 @@ ScenarioResult runScenario(bool full_mode, std::size_t shards = 1) {
   ccfg.one_way_timeout_intervals = 200;
   ccfg.full_broadcasts = full_mode;
   ccfg.snapshot_every = 8;
-  ccfg.shards = shards;
   Coordinator coordinator(ccfg);
   coordinator.start();
 
@@ -437,29 +320,6 @@ TEST(CoordinationEquivalence, DeltaModeMatchesFullModeUnderChaos) {
   EXPECT_EQ(full.d1_on_a, delta.d1_on_a);
   EXPECT_EQ(full.d2_on_a, delta.d2_on_a);
   EXPECT_EQ(full.evicted, delta.evicted);
-}
-
-// The same chaos drill (drops, reordering, duplication, blackhole
-// eviction, link kill and rejoin, unregister) executed against the
-// 4-shard multi-threaded coordinator must land in exactly the state the
-// single-threaded oracle reaches.
-TEST(CoordinationEquivalence, ShardedCoordinatorMatchesOracleUnderChaos) {
-  const ScenarioResult oracle = runScenario(false, 1);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-  const ScenarioResult sharded = runScenario(false, 4);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  EXPECT_EQ(oracle.global.size(), sharded.global.size());
-  for (const auto& [id, bytes] : oracle.global) {
-    const auto it = sharded.global.find(id);
-    ASSERT_NE(it, sharded.global.end());
-    EXPECT_EQ(it->second, bytes);  // Integer bytes: exact across modes.
-  }
-  EXPECT_EQ(oracle.d1_queue_a, sharded.d1_queue_a);
-  EXPECT_EQ(oracle.d2_queue_a, sharded.d2_queue_a);
-  EXPECT_EQ(oracle.d1_on_a, sharded.d1_on_a);
-  EXPECT_EQ(oracle.d2_on_a, sharded.d2_on_a);
-  EXPECT_EQ(oracle.evicted, sharded.evicted);
 }
 
 // ---------------------------------------------------------------------------
