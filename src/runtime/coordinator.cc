@@ -572,6 +572,10 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
         checkpoint_->journalRegister(id, id_generator_.nextExternal());
         stats_.checkpoint_journal_records.fetch_add(1,
                                                     std::memory_order_relaxed);
+        // Durable before the client learns the id: a register lost to a
+        // hard kill would let the restored generator re-mint an id the
+        // client already holds.
+        checkpoint_->flushJournal();
       }
       net::Message reply;
       reply.type = net::MessageType::kRegisterReply;

@@ -14,11 +14,14 @@
 // script. The remaining tests pin the crash-safety edges: corrupt or
 // truncated snapshots are rejected wholly (classic re-teach fallback), a
 // torn journal tail replays to its clean prefix, a journal left stale by
-// a crash between snapshot rename and journal truncate is discarded, and
-// a hard kill loses only the records journaled since the last flush.
+// a crash between snapshot rename and journal truncate is discarded, a
+// hard kill loses only the records journaled since the last flush, and
+// never a register the coordinator has already replied to.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <algorithm>
 #include <cstdint>
@@ -34,6 +37,8 @@
 
 #include "net/protocol.h"
 #include "runtime/checkpoint.h"
+#include "runtime/client.h"
+#include "runtime/coordinator.h"
 #include "runtime/schedule_state.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -564,6 +569,55 @@ TEST(Checkpoint, HardKillLosesOnlyUnflushedRecords) {
   EXPECT_EQ(restored.globalBytes(flushed), 20.0 * util::kMB);
   EXPECT_EQ(restored.globalBytes(lost), 0.0);
   EXPECT_EQ(restored.scheduledCount(), 1u);
+}
+
+// Registration durability: a client that holds a replied id must never see
+// it minted again. A forked child runs a coordinator whose Δ is far longer
+// than the drill (no per-round flush can land), registers one coflow,
+// hands the replied id to the parent through a pipe and is SIGKILLed right
+// after. A coordinator restored from the same directory must mint a new id.
+TEST(Checkpoint, HardKillAfterRegisterReplyKeepsTheId) {
+  const std::string dir = freshDir("register_kill");
+  CoordinatorConfig cfg;
+  cfg.checkpoint_dir = dir;
+  cfg.sync_interval = 60.0;
+  cfg.checkpoint_interval = 0;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_NE(child, -1);
+  if (child == 0) {
+    ::close(fds[0]);
+    Coordinator coordinator(cfg);
+    coordinator.start();
+    AaloClient client(coordinator.port());
+    const coflow::CoflowId id = client.registerCoflow();
+    const std::int64_t wire[2] = {id.external, id.internal};
+    if (::write(fds[1], wire, sizeof(wire)) != static_cast<ssize_t>(sizeof(wire))) {
+      ::_exit(1);
+    }
+    for (;;) ::pause();  // Killed by the parent.
+  }
+  ::close(fds[1]);
+  std::int64_t wire[2] = {0, 0};
+  const ssize_t got = ::read(fds[0], wire, sizeof(wire));
+  ::close(fds[0]);
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(wire)));
+  ASSERT_TRUE(WIFSIGNALED(status));
+  const coflow::CoflowId replied{wire[0], static_cast<std::int32_t>(wire[1])};
+
+  Coordinator restored(cfg);
+  restored.start();
+  EXPECT_EQ(restored.stats().checkpoint_restores.load(std::memory_order_relaxed),
+            1u);
+  AaloClient client(restored.port());
+  const coflow::CoflowId next = client.registerCoflow();
+  EXPECT_NE(next, replied) << "restored coordinator re-minted " << replied.toString();
+  EXPECT_EQ(restored.registeredCoflows(), 2u);
+  restored.stop();
 }
 
 TEST(Checkpoint, JournalOnlyFromFreshStartRestores) {
