@@ -18,14 +18,12 @@ int main() {
   const auto wl = bench::standardWorkload(250, 40, 77);
   const auto fc = bench::standardFabric();
 
-  auto weighted = bench::makeAalo();
+  auto weighted = sched::makeScheduler("aalo", wl);
   const auto weighted_result = bench::run(wl, fc, *weighted, "aalo weighted");
 
   // 1. Strict priority across queues.
   {
-    sched::DClasConfig cfg;
-    cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    auto strict = bench::makeAaloWith(cfg);
+    auto strict = sched::makeScheduler("aalo-strict", wl);
     const auto strict_result = bench::run(wl, fc, *strict, "aalo strict");
 
     util::Table table({"policy", "avg CCT", "p95 CCT", "p99 CCT", "max CCT"});
@@ -69,16 +67,14 @@ int main() {
   // 3. Queue-weight schemes: K-i+1 (paper) vs exponential decay vs equal.
   {
     std::printf("\n3. Queue-weight scheme (improvement over per-flow fairness):\n");
-    auto fair = bench::makeFair();
+    auto fair = sched::makeScheduler("fair", wl);
     const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
     util::Table table({"weights", "improvement over fair (avg CCT)"});
     table.addRow({"K-i+1 (paper)",
                   util::Table::num(
                       analysis::normalizedCct(fair_result, weighted_result).avg, 2) +
                       "x"});
-    sched::DClasConfig strict_cfg;
-    strict_cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    auto strict = bench::makeAaloWith(strict_cfg);
+    auto strict = sched::makeScheduler("aalo-strict", wl);
     const auto strict_result = bench::run(wl, fc, *strict, "strict (≈ weight ∞)");
     table.addRow({"strict priority",
                   util::Table::num(

@@ -10,11 +10,10 @@
 
 #include "analysis/compare.h"
 #include "coflow/spec.h"
+#include "sched/catalog.h"
 #include "sched/clas.h"
 #include "sched/dclas.h"
 #include "sched/fair.h"
-#include "sched/fifo.h"
-#include "sched/fifo_lm.h"
 #include "sched/las.h"
 #include "sched/offline_opt.h"
 #include "sched/uncoordinated.h"
@@ -33,19 +32,6 @@ coflow::Workload standardWorkload(std::size_t jobs = 250, int ports = 40,
                                   std::uint64_t seed = 42);
 
 fabric::FabricConfig standardFabric(int ports = 40);
-
-/// 80th percentile of coflow total size — FIFO-LM's heavy threshold, as
-/// the paper selected for Baraat (§7.2.1).
-util::Bytes heavyThreshold(const coflow::Workload& workload, double percentile = 80);
-
-// Paper-default scheduler factories (Δ, quanta scaled to trace seconds).
-std::unique_ptr<sim::Scheduler> makeAalo(util::Seconds sync_interval = 0);
-std::unique_ptr<sim::Scheduler> makeAaloWith(sched::DClasConfig config);
-std::unique_ptr<sim::Scheduler> makeFair();
-std::unique_ptr<sim::Scheduler> makeVarys();
-std::unique_ptr<sim::Scheduler> makeUncoordinated();
-std::unique_ptr<sim::Scheduler> makeFifoLm(util::Bytes heavy_threshold);
-std::unique_ptr<sim::Scheduler> makeFifo();
 
 /// Runs and reports wall time to stderr so long benches show progress.
 sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric,

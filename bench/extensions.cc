@@ -33,8 +33,8 @@ int main() {
       fabric::FabricConfig fc = bench::standardFabric();
       fc.rack.ports_per_rack = 8;
       fc.rack.oversubscription = oversub;
-      auto aalo = bench::makeAalo();
-      auto fair = bench::makeFair();
+      auto aalo = sched::makeScheduler("aalo", wl);
+      auto fair = sched::makeScheduler("fair", wl);
       const auto aalo_result = bench::run(wl, fc, *aalo, "aalo oversub");
       const auto fair_result = bench::run(wl, fc, *fair, "fair oversub");
       util::Summary s;
@@ -67,12 +67,12 @@ int main() {
     }
     const auto fc = bench::standardFabric();
 
-    auto fixed = bench::makeAalo();
+    auto fixed = sched::makeScheduler("aalo", wl);
     const auto fixed_result = bench::run(wl, fc, *fixed, "fixed defaults");
     sched::AdaptiveConfig acfg;
     sched::AdaptiveDClasScheduler adaptive(acfg);
     const auto adaptive_result = bench::run(wl, fc, adaptive, "adaptive");
-    auto fair = bench::makeFair();
+    auto fair = sched::makeScheduler("fair", wl);
     const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
 
     util::Table table({"variant", "avg CCT", "improvement over fair"});
@@ -92,7 +92,7 @@ int main() {
     std::printf("\n3. Gossip-based decentralization ladder:\n");
     const auto wl = bench::standardWorkload(150, 40, 44);
     const auto fc = bench::standardFabric();
-    auto fair = bench::makeFair();
+    auto fair = sched::makeScheduler("fair", wl);
     const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
 
     util::Table table({"coordination", "improvement over fair (avg CCT)"});
@@ -102,7 +102,7 @@ int main() {
                         "x"});
     };
 
-    auto uncoordinated = bench::makeUncoordinated();
+    auto uncoordinated = sched::makeScheduler("uncoordinated", wl);
     addRow("none (local only)",
            bench::run(wl, fc, *uncoordinated, "uncoordinated"));
     for (const double interval : {5.0, 1.0, 0.2}) {
@@ -112,7 +112,7 @@ int main() {
       addRow("gossip every " + util::formatSeconds(interval),
              bench::run(wl, fc, gossip, "gossip " + util::formatSeconds(interval)));
     }
-    auto aalo = bench::makeAalo();
+    auto aalo = sched::makeScheduler("aalo", wl);
     addRow("central coordinator", bench::run(wl, fc, *aalo, "aalo"));
     table.print(std::cout);
   }
@@ -128,8 +128,8 @@ int main() {
       workload::FailureConfig fcfg;
       fcfg.failure_probability = rate;
       const std::size_t failures = workload::injectTaskFailures(wl, fcfg);
-      auto aalo = bench::makeAalo();
-      auto fair = bench::makeFair();
+      auto aalo = sched::makeScheduler("aalo", wl);
+      auto fair = sched::makeScheduler("fair", wl);
       const auto aalo_result = bench::run(wl, fc, *aalo, "aalo failures");
       const auto fair_result = bench::run(wl, fc, *fair, "fair failures");
       util::Summary s;

@@ -17,9 +17,9 @@ int main() {
 
   // The three runs are independent; let the BatchRunner overlap them.
   std::vector<sim::BatchJob> jobs;
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeAalo(); }));
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); }));
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeVarys(); }));
+  jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("aalo", wl); }));
+  jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("fair", wl); }));
+  jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("varys", wl); }));
   const auto results = bench::runBatch(std::move(jobs));
   const auto& aalo_result = results[0];
   const auto& fair_result = results[1];

@@ -14,9 +14,9 @@ int main() {
   const auto wl = bench::standardWorkload();
   const auto fc = bench::standardFabric();
 
-  auto aalo = bench::makeAalo();
-  auto fair = bench::makeFair();
-  auto varys = bench::makeVarys();
+  auto aalo = sched::makeScheduler("aalo", wl);
+  auto fair = sched::makeScheduler("fair", wl);
+  auto varys = sched::makeScheduler("varys", wl);
   const auto aalo_result = bench::run(wl, fc, *aalo, aalo->name());
   const auto fair_result = bench::run(wl, fc, *fair, fair->name());
   const auto varys_result = bench::run(wl, fc, *varys, varys->name());

@@ -22,20 +22,15 @@ int main() {
   // independent — one batch keeps every core busy.
   const std::vector<double> sweep_pcts = {20.0, 40.0, 60.0, 80.0, 90.0};
   std::vector<sim::BatchJob> jobs;
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeAalo(); }));
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); }));
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeVarys(); }));
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeUncoordinated(); }));
-  const util::Bytes heavy80 = bench::heavyThreshold(wl, 80);
-  jobs.push_back(bench::job(wl, fc, [heavy80] { return bench::makeFifoLm(heavy80); }));
-  jobs.push_back(bench::job(wl, fc, [&wl] {
-    return std::make_unique<sched::OfflineOrderScheduler>(
-        sched::computeConcurrentOpenShopOrder(wl));
-  }));
+  for (const char* name :
+       {"aalo", "fair", "varys", "uncoordinated", "fifo-lm", "offline"}) {
+    jobs.push_back(
+        bench::job(wl, fc, [&wl, name] { return sched::makeScheduler(name, wl); }));
+  }
   for (const double pct : sweep_pcts) {
-    const util::Bytes threshold = bench::heavyThreshold(wl, pct);
+    const sched::FifoLmConfig cfg = sched::fifoLmConfig(wl, pct);
     jobs.push_back(bench::job(
-        wl, fc, [threshold] { return bench::makeFifoLm(threshold); },
+        wl, fc, [cfg] { return std::make_unique<sched::FifoLmScheduler>(cfg); },
         "fifo-lm@p" + util::Table::num(pct, 0)));
   }
   const auto results = bench::runBatch(std::move(jobs));

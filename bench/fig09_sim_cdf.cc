@@ -15,14 +15,10 @@ int main() {
   const auto fc = bench::standardFabric();
 
   std::vector<sim::SimResult> results;
-  auto aalo = bench::makeAalo();
-  results.push_back(bench::run(wl, fc, *aalo, aalo->name()));
-  auto varys = bench::makeVarys();
-  results.push_back(bench::run(wl, fc, *varys, varys->name()));
-  auto fair = bench::makeFair();
-  results.push_back(bench::run(wl, fc, *fair, fair->name()));
-  auto uncoordinated = bench::makeUncoordinated();
-  results.push_back(bench::run(wl, fc, *uncoordinated, uncoordinated->name()));
+  for (const char* name : {"aalo", "varys", "fair", "uncoordinated"}) {
+    auto scheduler = sched::makeScheduler(name, wl);
+    results.push_back(bench::run(wl, fc, *scheduler, scheduler->name()));
+  }
 
   std::printf("\nFraction of coflows with CCT <= t:\n");
   bench::printCctCdfs(results, 14);

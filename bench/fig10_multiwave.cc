@@ -74,7 +74,7 @@ int main() {
 
     // Aalo handles waves natively: one coflow per stage, attained service
     // only grows (§5.2).
-    auto aalo = bench::makeAalo();
+    auto aalo = sched::makeScheduler("aalo", wl);
     const auto aalo_result = bench::run(wl, fc, *aalo, "aalo waves<=" +
                                                            std::to_string(max_waves));
 
@@ -93,7 +93,7 @@ int main() {
     sched::VarysScheduler varys_barrier{varys_cfg};
     const auto barrier_result = bench::run(barrier, fc, varys_barrier, "varys barrier");
 
-    auto fair = bench::makeFair();
+    auto fair = sched::makeScheduler("fair", wl);
     const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
 
     const auto mw_jobs = multiWaveJobs(wl);

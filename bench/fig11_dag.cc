@@ -25,11 +25,11 @@ int main() {
   const auto barriered = workload::addBarriersToDags(pipelined);
   const auto fc = bench::standardFabric(cfg.num_ports);
 
-  auto aalo = bench::makeAalo();
+  auto aalo = sched::makeScheduler("aalo", pipelined);
   const auto aalo_result = bench::run(pipelined, fc, *aalo, "aalo pipelined");
-  auto fair = bench::makeFair();
+  auto fair = sched::makeScheduler("fair", pipelined);
   const auto fair_result = bench::run(pipelined, fc, *fair, "fair pipelined");
-  auto varys = bench::makeVarys();
+  auto varys = sched::makeScheduler("varys", barriered);
   const auto varys_result = bench::run(barriered, fc, *varys, "varys barriers");
 
   std::map<coflow::JobId, const sim::JobRecord*> aalo_jobs;

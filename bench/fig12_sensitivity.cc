@@ -20,11 +20,12 @@ int main() {
   // The whole figure is one sweep of independent runs (per-flow fair plus
   // 23 D-CLAS configurations); collect every point, then run the batch.
   std::vector<sim::BatchJob> jobs;
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); },
+  jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("fair", wl); },
                             "per-flow fair"));
   auto addPoint = [&](sched::DClasConfig cfg, std::string label) {
     jobs.push_back(bench::job(
-        wl, fc, [cfg] { return bench::makeAaloWith(cfg); }, std::move(label)));
+        wl, fc, [cfg] { return std::make_unique<sched::DClasScheduler>(cfg); },
+        std::move(label)));
   };
 
   // (a) Number of queues.

@@ -22,16 +22,13 @@ Averaged runScenario(const std::function<coflow::Workload(std::uint64_t seed)>& 
   constexpr int kRuns = 5;
   for (int r = 0; r < kRuns; ++r) {
     const auto wl = make(100 + static_cast<std::uint64_t>(r));
-    auto aalo = bench::makeAalo();
-    sched::DClasConfig strict_cfg;
-    strict_cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    auto strict = bench::makeAaloWith(strict_cfg);
-    auto fair = bench::makeFair();
-    auto fifo = bench::makeFifo();
-    const auto aalo_result = sim::runSimulation(wl, fc, *aalo);
-    const auto strict_result = sim::runSimulation(wl, fc, *strict);
-    const auto fair_result = sim::runSimulation(wl, fc, *fair);
-    const auto fifo_result = sim::runSimulation(wl, fc, *fifo);
+    auto run = [&](const char* name) {
+      return sim::runSimulation(wl, fc, *sched::makeScheduler(name, wl));
+    };
+    const auto aalo_result = run("aalo");
+    const auto strict_result = run("aalo-strict");
+    const auto fair_result = run("fair");
+    const auto fifo_result = run("fifo");
     acc.vs_fair += analysis::normalizedCct(fair_result, aalo_result).avg;
     acc.vs_fifo += analysis::normalizedCct(fifo_result, aalo_result).avg;
     acc.strict_fair += analysis::normalizedCct(fair_result, strict_result).avg;

@@ -834,11 +834,12 @@ int main(int argc, char** argv) {
   // real sockets on this host and must stay serial to keep timings clean.)
   const std::vector<double> deltas = {0.01, 0.1, 1.0, 10.0, 100.0};
   std::vector<sim::BatchJob> jobs;
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); },
+  jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("fair", wl); },
                             "per-flow fair"));
   for (const double delta : deltas) {
-    jobs.push_back(bench::job(wl, fc, [delta] { return bench::makeAalo(delta); },
-                              "aalo Δ=" + util::formatSeconds(delta)));
+    jobs.push_back(bench::job(
+        wl, fc, [&wl, delta] { return sched::makeScheduler("aalo", wl, delta); },
+        "aalo Δ=" + util::formatSeconds(delta)));
   }
   const auto results = bench::runBatch(std::move(jobs));
   const auto& fair_result = results[0];

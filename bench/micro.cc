@@ -209,7 +209,7 @@ void BM_SimulatorEndToEnd(benchmark::State& state) {
   const auto wl = bench::standardWorkload(static_cast<std::size_t>(state.range(0)),
                                           40, 99);
   for (auto _ : state) {
-    auto aalo = bench::makeAalo();
+    auto aalo = sched::makeScheduler("aalo", wl);
     const auto result =
         sim::runSimulation(wl, bench::standardFabric(), *aalo);
     benchmark::DoNotOptimize(result.makespan);
@@ -232,7 +232,7 @@ void BM_SimulatorEndToEndMetrics(benchmark::State& state) {
   sim::SimOptions opts;
   opts.metrics = &registry;
   for (auto _ : state) {
-    auto aalo = bench::makeAalo();
+    auto aalo = sched::makeScheduler("aalo", wl);
     const auto result =
         sim::runSimulation(wl, bench::standardFabric(), *aalo, opts);
     benchmark::DoNotOptimize(result.makespan);
@@ -378,8 +378,8 @@ void BM_TraceReplay(benchmark::State& state) {
   const auto wl = bench::standardWorkload(60, 40, 99);
   const util::Seconds delta = static_cast<double>(state.range(0)) * 1e-3;
   for (auto _ : state) {
-    auto sched = delta > 0 ? bench::makeAalo(delta) : bench::makeFair();
-    const auto result = sim::runSimulation(wl, bench::standardFabric(), *sched);
+    auto scheduler = sched::makeScheduler(delta > 0 ? "aalo" : "fair", wl, delta);
+    const auto result = sim::runSimulation(wl, bench::standardFabric(), *scheduler);
     benchmark::DoNotOptimize(result.makespan);
     state.counters["rounds"] = static_cast<double>(result.allocation_rounds);
     state.counters["allocs"] = static_cast<double>(result.allocate_calls);
@@ -410,7 +410,7 @@ void BM_TraceReplayLarge(benchmark::State& state) {
   sim::SimOptions opts;
   opts.max_rounds = 40'000'000;
   for (auto _ : state) {
-    auto aalo = bench::makeAalo(0.5);
+    auto aalo = sched::makeScheduler("aalo", wl, 0.5);
     const auto result =
         sim::runSimulation(wl, bench::standardFabric(), *aalo, opts);
     benchmark::DoNotOptimize(result.makespan);
@@ -432,8 +432,8 @@ void BM_BatchRunnerSweep(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   std::vector<sim::BatchJob> jobs;
   for (int i = 0; i < 3; ++i) {
-    jobs.push_back(bench::job(wl, fc, [] { return bench::makeAalo(); }));
-    jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); }));
+    jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("aalo", wl); }));
+    jobs.push_back(bench::job(wl, fc, [&wl] { return sched::makeScheduler("fair", wl); }));
   }
   sim::BatchOptions opts;
   opts.num_threads = threads;

@@ -5,13 +5,10 @@
 
 namespace aalo::sched {
 
-std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
-                                           std::vector<ActiveCoflow>& scratch) {
-  if (view.active_index != nullptr) return view.active_index->groups();
-  scratch = groupActiveByCoflow(view);
-  return scratch;
-}
+namespace {
 
+/// Groups view.active_flows by coflow, rebuilding from scratch. Order of
+/// the result follows first appearance in active_flows.
 std::vector<ActiveCoflow> groupActiveByCoflow(const sim::SimView& view) {
   std::vector<ActiveCoflow> groups;
   std::unordered_map<std::size_t, std::size_t> group_of;  // coflow idx -> groups idx
@@ -29,21 +26,47 @@ std::vector<ActiveCoflow> groupActiveByCoflow(const sim::SimView& view) {
   return groups;
 }
 
+}  // namespace
+
+std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
+                                           std::vector<ActiveCoflow>& scratch) {
+  if (view.active_index != nullptr) return view.active_index->groups();
+  scratch = groupActiveByCoflow(view);
+  return scratch;
+}
+
+std::vector<std::vector<PortCoflow>> portLocalCoflows(
+    const sim::SimView& view, std::vector<ActiveCoflow>& groups_scratch) {
+  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
+  std::vector<std::vector<PortCoflow>> per_port(ports);
+  std::vector<std::unordered_map<std::size_t, std::size_t>> slot(ports);
+  for (const std::size_t fi : *view.active_flows) {
+    const sim::FlowState& f = view.flow(fi);
+    const auto p = static_cast<std::size_t>(f.src);
+    auto [it, inserted] = slot[p].try_emplace(f.coflow_index, per_port[p].size());
+    if (inserted) per_port[p].push_back(PortCoflow{f.coflow_index, 0, {}});
+    per_port[p][it->second].flow_indices.push_back(fi);
+  }
+  // A daemon remembers everything a still-active coflow sent through its
+  // uplink, including flows that have since finished.
+  for (const ActiveCoflow& group : activeGroups(view, groups_scratch)) {
+    const sim::CoflowState& c = view.coflow(group.coflow_index);
+    for (const std::size_t fi : c.flow_indices) {
+      const sim::FlowState& f = view.flow(fi);
+      if (!f.started || f.sent <= 0) continue;
+      const auto p = static_cast<std::size_t>(f.src);
+      const auto it = slot[p].find(group.coflow_index);
+      if (it != slot[p].end()) per_port[p][it->second].local_sent += f.sent;
+    }
+  }
+  return per_port;
+}
+
 void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
                           fabric::ResidualCapacity& residual,
                           std::vector<util::Rate>& rates,
                           fabric::MaxMinScratch& scratch) {
-  scratch.demands.clear();
-  scratch.demands.reserve(group.flow_indices.size());
-  for (const std::size_t fi : group.flow_indices) {
-    const sim::FlowState& f = view.flow(fi);
-    scratch.demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
-  }
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(scratch.demands, residual, scratch);
-  for (std::size_t k = 0; k < group.flow_indices.size(); ++k) {
-    rates[group.flow_indices[k]] += shares[k];
-  }
+  backfillMaxMin(view, group.flow_indices, residual, rates, scratch);
 }
 
 void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
@@ -128,28 +151,6 @@ void backfillMaxMin(const sim::SimView& view,
   for (std::size_t k = 0; k < flow_indices.size(); ++k) {
     rates[flow_indices[k]] += shares[k];
   }
-}
-
-void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
-                          fabric::ResidualCapacity& residual,
-                          std::vector<util::Rate>& rates) {
-  fabric::MaxMinScratch scratch;
-  allocateCoflowMaxMin(view, group, residual, rates, scratch);
-}
-
-void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
-                        fabric::ResidualCapacity& residual,
-                        std::vector<util::Rate>& rates) {
-  fabric::MaxMinScratch scratch;
-  allocateCoflowMadd(view, group, residual, rates, scratch);
-}
-
-void backfillMaxMin(const sim::SimView& view,
-                    const std::vector<std::size_t>& flow_indices,
-                    fabric::ResidualCapacity& residual,
-                    std::vector<util::Rate>& rates) {
-  fabric::MaxMinScratch scratch;
-  backfillMaxMin(view, flow_indices, residual, rates, scratch);
 }
 
 util::Bytes remainingReleasedBytes(const sim::SimView& view, std::size_t coflow_index) {

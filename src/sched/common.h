@@ -24,10 +24,20 @@ using ActiveCoflow = sim::ActiveGroup;
 std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
                                            std::vector<ActiveCoflow>& scratch);
 
-/// Groups view.active_flows by coflow, rebuilding from scratch. Order of
-/// the result follows first appearance in active_flows. Prefer
-/// activeGroups() — this exists for the no-index fallback and tests.
-std::vector<ActiveCoflow> groupActiveByCoflow(const sim::SimView& view);
+/// One coflow as a single ingress port sees it: its active flows leaving
+/// through the port and the bytes all of its started flows (finished ones
+/// included) have sent from the port.
+struct PortCoflow {
+  std::size_t coflow_index = 0;
+  util::Bytes local_sent = 0;
+  std::vector<std::size_t> flow_indices;
+};
+
+/// The port-local view the decentralized schedulers decide on: for each
+/// ingress port, the coflows with an active flow there, in order of first
+/// appearance in view.active_flows.
+std::vector<std::vector<PortCoflow>> portLocalCoflows(
+    const sim::SimView& view, std::vector<ActiveCoflow>& groups_scratch);
 
 /// Gives `group`'s flows a max-min fair allocation of `residual` (equal
 /// weights — line 6 of Pseudocode 1: no flow-size information), *adding*
@@ -47,25 +57,14 @@ void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
                         std::vector<util::Rate>& rates,
                         fabric::MaxMinScratch& scratch);
 
-/// Work conservation: distributes whatever `residual` still holds among
-/// all of `flow_indices` max-min (equal weights), adding to `rates`.
+/// Distributes whatever `residual` still holds among all of
+/// `flow_indices` max-min (equal weights), adding to `rates` and consuming
+/// the residual. Over all active flows, this is work conservation.
 void backfillMaxMin(const sim::SimView& view,
                     const std::vector<std::size_t>& flow_indices,
                     fabric::ResidualCapacity& residual,
                     std::vector<util::Rate>& rates,
                     fabric::MaxMinScratch& scratch);
-
-// Transient-scratch conveniences (tests / cold paths).
-void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
-                          fabric::ResidualCapacity& residual,
-                          std::vector<util::Rate>& rates);
-void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
-                        fabric::ResidualCapacity& residual,
-                        std::vector<util::Rate>& rates);
-void backfillMaxMin(const sim::SimView& view,
-                    const std::vector<std::size_t>& flow_indices,
-                    fabric::ResidualCapacity& residual,
-                    std::vector<util::Rate>& rates);
 
 /// Remaining bytes of a coflow's *started* flows (clairvoyant helper).
 util::Bytes remainingReleasedBytes(const sim::SimView& view, std::size_t coflow_index);

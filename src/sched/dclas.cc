@@ -361,57 +361,16 @@ bool DClasScheduler::demandDrained(const fabric::ResidualCapacity& residual,
   return true;
 }
 
-void DClasScheduler::allocateCoflowGainers(const sim::SimView& view,
-                                           const ActiveCoflow& group,
-                                           fabric::ResidualCapacity& residual,
-                                           std::vector<util::Rate>& rates,
-                                           util::Rate drained) {
+void DClasScheduler::allocateCoflowGainers(
+    const ActiveCoflow& group, fabric::ResidualCapacity& residual,
+    std::vector<util::Rate>& rates, util::Rate drained,
+    std::vector<std::pair<std::size_t, util::Rate>>* record) {
   // Greedy redistribution runs against a mostly-drained residual, where
   // typically only a handful of a coflow's flows can still gain anything
   // beyond FP dust. Water-filling over just those flows does the same
   // useful work at a fraction of the cost of the full-width call.
-  scratch_.demands.clear();
-  gainers_scratch_.clear();
-  const coflow::PortId* src = group.srcs.data();
-  const coflow::PortId* dst = group.dsts.data();
-  const std::size_t m = group.flow_indices.size();
-  for (std::size_t j = 0; j < m; ++j) {
-    if (residual.available(src[j], dst[j]) > drained) {
-      scratch_.demands.push_back(
-          fabric::Demand{src[j], dst[j], 1.0, fabric::kUncapped});
-      gainers_scratch_.push_back(group.flow_indices[j]);
-    }
-  }
-  if (gainers_scratch_.empty()) return;
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(scratch_.demands, residual, scratch_);
-  for (std::size_t k = 0; k < gainers_scratch_.size(); ++k) {
-    rates[gainers_scratch_[k]] += shares[k];
-  }
-}
-
-void DClasScheduler::countDemand(const sim::SimView& view, std::vector<int>& in_demand,
-                                 std::vector<int>& out_demand) const {
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-  in_demand.assign(ports, 0);
-  out_demand.assign(ports, 0);
-  const coflow::PortId* src = view.flows->src_port.data();
-  const coflow::PortId* dst = view.flows->dst_port.data();
-  for (const std::size_t fi : *view.active_flows) {
-    ++in_demand[static_cast<std::size_t>(src[fi])];
-    ++out_demand[static_cast<std::size_t>(dst[fi])];
-  }
-}
-
-void DClasScheduler::allocateCoflowRecording(
-    const sim::SimView& view, const ActiveCoflow& group,
-    fabric::ResidualCapacity& residual, std::vector<util::Rate>& rates,
-    util::Rate drained, std::vector<std::pair<std::size_t, util::Rate>>& out) {
-  // Gainers-only, exactly like allocateCoflowGainers (the reference
-  // primary pass must stay bit-identical), but recording each increment
-  // so a clean queue can replay without re-running max-min. The filter
-  // decisions depend only on the queue slice and the member's flows, both
-  // inputs that dirty the queue when they change — so replays stay exact.
+  // A `record`ed pass replays exactly: the filter reads only the queue
+  // slice and the member's flows, which dirty the queue when they change.
   scratch_.demands.clear();
   gainers_scratch_.clear();
   const coflow::PortId* src = group.srcs.data();
@@ -430,7 +389,20 @@ void DClasScheduler::allocateCoflowRecording(
   for (std::size_t k = 0; k < gainers_scratch_.size(); ++k) {
     const std::size_t fi = gainers_scratch_[k];
     rates[fi] += shares[k];
-    out.emplace_back(fi, shares[k]);
+    if (record != nullptr) record->emplace_back(fi, shares[k]);
+  }
+}
+
+void DClasScheduler::countDemand(const sim::SimView& view, std::vector<int>& in_demand,
+                                 std::vector<int>& out_demand) const {
+  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
+  in_demand.assign(ports, 0);
+  out_demand.assign(ports, 0);
+  const coflow::PortId* src = view.flows->src_port.data();
+  const coflow::PortId* dst = view.flows->dst_port.data();
+  for (const std::size_t fi : *view.active_flows) {
+    ++in_demand[static_cast<std::size_t>(src[fi])];
+    ++out_demand[static_cast<std::size_t>(dst[fi])];
   }
 }
 
@@ -478,7 +450,7 @@ void DClasScheduler::allocateStrict(const sim::SimView& view,
     if (demandDrained(residual, in_demand_, out_demand_, drained)) break;
     for (const std::size_t ci : q.members) {
       const ActiveCoflow& group = *view.active_index->groupFor(ci);
-      allocateCoflowGainers(view, group, residual, rates, drained);
+      allocateCoflowGainers(group, residual, rates, drained);
       if (demandDrained(residual, in_demand_, out_demand_, drained)) break;
     }
   }
@@ -522,8 +494,8 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
       fabric::ResidualCapacity& queue_residual = residual_scratch_;
       q.cached_rates.clear();
       for (const std::size_t ci : q.members) {
-        allocateCoflowRecording(view, *view.active_index->groupFor(ci),
-                                queue_residual, rates, drained, q.cached_rates);
+        allocateCoflowGainers(*view.active_index->groupFor(ci), queue_residual,
+                              rates, drained, &q.cached_rates);
         // A deep FIFO queue drains its slice after the first few coflows;
         // the rest would be handed an empty residual — skip them.
         if (demandDrained(queue_residual, in_demand_, out_demand_, drained)) break;
@@ -563,7 +535,7 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
     if (demandDrained(leftover, in_demand_, out_demand_, drained)) break;
     for (const std::size_t ci : q.members) {
       const ActiveCoflow& group = *view.active_index->groupFor(ci);
-      allocateCoflowGainers(view, group, leftover, rates, drained);
+      allocateCoflowGainers(group, leftover, rates, drained);
       if (demandDrained(leftover, in_demand_, out_demand_, drained)) break;
     }
   }
@@ -603,7 +575,7 @@ void DClasScheduler::allocateReference(const sim::SimView& view,
     for (const auto& members : queue_members) {
       if (demandDrained(residual, in_demand, out_demand, drained)) break;
       for (const std::size_t g : members) {
-        allocateCoflowGainers(view, groups[g], residual, rates, drained);
+        allocateCoflowGainers(groups[g], residual, rates, drained);
         if (demandDrained(residual, in_demand, out_demand, drained)) break;
       }
     }
@@ -626,7 +598,7 @@ void DClasScheduler::allocateReference(const sim::SimView& view,
     const double share = config_.queueWeight(q) / total_weight;
     fabric::ResidualCapacity queue_residual(*view.fabric, share);
     for (const std::size_t g : members) {
-      allocateCoflowGainers(view, groups[g], queue_residual, rates, drained);
+      allocateCoflowGainers(groups[g], queue_residual, rates, drained);
       if (demandDrained(queue_residual, in_demand, out_demand, drained)) break;
     }
     // Pool this queue's unused slice for the excess pass.
@@ -649,7 +621,7 @@ void DClasScheduler::allocateReference(const sim::SimView& view,
   for (const auto& members : queue_members) {
     if (demandDrained(leftover, in_demand, out_demand, drained)) break;
     for (const std::size_t g : members) {
-      allocateCoflowGainers(view, groups[g], leftover, rates, drained);
+      allocateCoflowGainers(groups[g], leftover, rates, drained);
       if (demandDrained(leftover, in_demand, out_demand, drained)) break;
     }
   }

@@ -172,21 +172,18 @@ class DClasScheduler final : public sim::Scheduler {
   /// residual is mostly drained, so restricting the water-filling to the
   /// few flows that can still gain (the rest would only receive FP dust)
   /// shrinks the dominant cost of a round. Skips the max-min call
-  /// entirely when no flow qualifies.
-  void allocateCoflowGainers(const sim::SimView& view, const ActiveCoflow& group,
-                             fabric::ResidualCapacity& residual,
-                             std::vector<util::Rate>& rates, util::Rate drained);
+  /// entirely when no flow qualifies. With `record`, also appends each
+  /// rate increment there so a clean queue can replay them without
+  /// re-running max-min.
+  void allocateCoflowGainers(
+      const ActiveCoflow& group, fabric::ResidualCapacity& residual,
+      std::vector<util::Rate>& rates, util::Rate drained,
+      std::vector<std::pair<std::size_t, util::Rate>>* record = nullptr);
   void allocateWeighted(const sim::SimView& view, std::vector<util::Rate>& rates);
   void allocateStrict(const sim::SimView& view, std::vector<util::Rate>& rates);
   /// Pre-incremental full-rebuild allocation — the test oracle (same
   /// pattern as fabric::maxMinAllocateReference).
   void allocateReference(const sim::SimView& view, std::vector<util::Rate>& rates);
-  /// Like allocateCoflowGainers but records each rate increment so a
-  /// clean queue can replay them without re-running max-min.
-  void allocateCoflowRecording(const sim::SimView& view, const ActiveCoflow& group,
-                               fabric::ResidualCapacity& residual,
-                               std::vector<util::Rate>& rates, util::Rate drained,
-                               std::vector<std::pair<std::size_t, util::Rate>>& out);
   void recordTelemetry(const sim::SimView& view,
                        const std::vector<util::Rate>& rates);
 

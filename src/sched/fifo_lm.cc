@@ -1,7 +1,6 @@
 #include "sched/fifo_lm.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "coflow/ids.h"
@@ -11,41 +10,12 @@ namespace aalo::sched {
 FifoLmScheduler::FifoLmScheduler(FifoLmConfig config) : config_(config) {}
 
 void FifoLmScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>& rates) {
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-
-  // Per-port: coflows in FIFO order with their flows and local attained.
-  struct PortCoflow {
-    std::size_t coflow_index;
-    util::Bytes local_sent = 0;
-    std::vector<std::size_t> flow_indices;
-  };
-  std::vector<std::vector<PortCoflow>> per_port(ports);
-  std::vector<std::unordered_map<std::size_t, std::size_t>> slot(ports);
-  for (const std::size_t fi : *view.active_flows) {
-    const sim::FlowState& f = view.flow(fi);
-    const auto p = static_cast<std::size_t>(f.src);
-    auto [it, inserted] = slot[p].try_emplace(f.coflow_index, per_port[p].size());
-    if (inserted) per_port[p].push_back(PortCoflow{f.coflow_index, 0, {}});
-    per_port[p][it->second].flow_indices.push_back(fi);
-  }
-  // Local attained service (includes finished flows of active coflows).
-  for (const ActiveCoflow& group : activeGroups(view, groups_scratch_)) {
-    const sim::CoflowState& c = view.coflow(group.coflow_index);
-    for (const std::size_t fi : c.flow_indices) {
-      const sim::FlowState& f = view.flow(fi);
-      if (!f.started || f.sent <= 0) continue;
-      const auto p = static_cast<std::size_t>(f.src);
-      const auto it = slot[p].find(group.coflow_index);
-      if (it != slot[p].end()) per_port[p][it->second].local_sent += f.sent;
-    }
-  }
+  std::vector<std::vector<PortCoflow>> per_port =
+      portLocalCoflows(view, groups_scratch_);
 
   const coflow::CoflowIdFifoLess fifo_less;
-  std::vector<fabric::Demand>& demands = scratch_.demands;
-  demands.clear();
   std::vector<std::size_t> chosen;
-  for (std::size_t p = 0; p < ports; ++p) {
-    auto& queue = per_port[p];
+  for (auto& queue : per_port) {
     if (queue.empty()) continue;
     std::sort(queue.begin(), queue.end(), [&](const PortCoflow& a, const PortCoflow& b) {
       return fifo_less(view.coflow(a.coflow_index).id, view.coflow(b.coflow_index).id);
@@ -54,19 +24,13 @@ void FifoLmScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>
     // first light coflow; heavy head-of-line coflows share instead of
     // blocking.
     for (const PortCoflow& pc : queue) {
-      for (const std::size_t fi : pc.flow_indices) {
-        const sim::FlowState& f = view.flow(fi);
-        demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
-        chosen.push_back(fi);
-      }
+      chosen.insert(chosen.end(), pc.flow_indices.begin(), pc.flow_indices.end());
       if (pc.local_sent < config_.heavy_threshold) break;  // First light one.
     }
   }
 
   fabric::ResidualCapacity residual(*view.fabric);
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(demands, residual, scratch_);
-  for (std::size_t k = 0; k < chosen.size(); ++k) rates[chosen[k]] += shares[k];
+  backfillMaxMin(view, chosen, residual, rates, scratch_);
   if (config_.work_conserving) {
     backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
   }

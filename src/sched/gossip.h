@@ -61,6 +61,7 @@ class GossipDClasScheduler final : public sim::Scheduler {
   std::unordered_map<std::size_t, util::Bytes> credited_;
   util::Seconds last_gossip_ = 0;
   fabric::MaxMinScratch scratch_;
+  std::vector<ActiveCoflow> groups_scratch_;
 };
 
 }  // namespace aalo::sched

@@ -37,7 +37,6 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
   }
 
   // Each port independently selects its least-locally-attained coflow(s).
-  scratch_.demands.clear();
   std::vector<std::size_t> chosen_flows;
   for (std::size_t p = 0; p < ports; ++p) {
     if (port_flows[p].empty()) continue;
@@ -48,18 +47,13 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
     for (const std::size_t fi : port_flows[p]) {
       const sim::FlowState& f = view.flow(fi);
       if (local_sent[p].at(f.coflow_index) - min_attained <= config_.tie_window) {
-        scratch_.demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
         chosen_flows.push_back(fi);
       }
     }
   }
 
   fabric::ResidualCapacity residual(*view.fabric);
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(scratch_.demands, residual, scratch_);
-  for (std::size_t k = 0; k < chosen_flows.size(); ++k) {
-    rates[chosen_flows[k]] += shares[k];
-  }
+  backfillMaxMin(view, chosen_flows, residual, rates, scratch_);
   if (config_.work_conserving) {
     backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
   }

@@ -151,25 +151,20 @@ void SamplingScheduler::allocate(const sim::SimView& view,
   const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
   fabric::ResidualCapacity residual(*view.fabric);
 
-  // Splits `group` into its active probe flows (`probes == true`) or the
-  // rest, reusing subgroup_scratch_. Probe membership = position < k in
-  // the coflow's flow_indices, which are in arena push order (ascending),
-  // so the first-k prefix is sorted and binary-searchable.
-  auto subgroup = [&](const ActiveCoflow& group, bool probes) -> const ActiveCoflow& {
+  // The active probe flows of `group` (`probes == true`) or the rest,
+  // reusing subgroup_scratch_. Probe membership = position < k in the
+  // coflow's flow_indices, which are in arena push order (ascending), so
+  // the first-k prefix is sorted and binary-searchable.
+  auto subgroup = [&](const ActiveCoflow& group,
+                      bool probes) -> const std::vector<std::size_t>& {
     const sim::CoflowState& c = view.coflow(group.coflow_index);
     const std::size_t k = probeCount(c.flow_indices.size());
     const auto probe_begin = c.flow_indices.begin();
     const auto probe_end = probe_begin + static_cast<std::ptrdiff_t>(k);
-    subgroup_scratch_.coflow_index = group.coflow_index;
-    subgroup_scratch_.flow_indices.clear();
-    subgroup_scratch_.srcs.clear();
-    subgroup_scratch_.dsts.clear();
-    for (std::size_t i = 0; i < group.flow_indices.size(); ++i) {
-      const std::size_t fi = group.flow_indices[i];
+    subgroup_scratch_.clear();
+    for (const std::size_t fi : group.flow_indices) {
       if (std::binary_search(probe_begin, probe_end, fi) == probes) {
-        subgroup_scratch_.flow_indices.push_back(fi);
-        subgroup_scratch_.srcs.push_back(group.srcs[i]);
-        subgroup_scratch_.dsts.push_back(group.dsts[i]);
+        subgroup_scratch_.push_back(fi);
       }
     }
     return subgroup_scratch_;
@@ -179,8 +174,8 @@ void SamplingScheduler::allocate(const sim::SimView& view,
   // estimates mature early (the probe set is tiny, so this steals little
   // bandwidth from mature coflows).
   for (const std::size_t g : immature_order_) {
-    allocateCoflowMaxMin(view, subgroup(groups[g], /*probes=*/true), residual,
-                         rates, scratch_);
+    backfillMaxMin(view, subgroup(groups[g], /*probes=*/true), residual, rates,
+                   scratch_);
   }
   // Pass 2 — mature coflows, smallest estimated bottleneck first.
   for (const std::size_t g : mature_order_) {
@@ -188,12 +183,11 @@ void SamplingScheduler::allocate(const sim::SimView& view,
   }
   // Pass 3 — the immature coflows' remaining flows, LAS order.
   for (const std::size_t g : immature_order_) {
-    allocateCoflowMaxMin(view, subgroup(groups[g], /*probes=*/false), residual,
-                         rates, scratch_);
+    backfillMaxMin(view, subgroup(groups[g], /*probes=*/false), residual, rates,
+                   scratch_);
   }
   if (config_.work_conserving) {
-    backfill_scratch_.assign(view.active_flows->begin(), view.active_flows->end());
-    backfillMaxMin(view, backfill_scratch_, residual, rates, scratch_);
+    backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
   }
 }
 

@@ -116,8 +116,7 @@ class SamplingScheduler final : public sim::Scheduler {
   std::vector<util::Seconds> gamma_scratch_;
   std::vector<util::Bytes> port_in_scratch_;
   std::vector<util::Bytes> port_out_scratch_;
-  ActiveCoflow subgroup_scratch_;
-  std::vector<std::size_t> backfill_scratch_;
+  std::vector<std::size_t> subgroup_scratch_;
   fabric::MaxMinScratch scratch_;
 };
 

@@ -1,90 +1,50 @@
 #include "sched/uncoordinated.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "coflow/ids.h"
 
 namespace aalo::sched {
 
-UncoordinatedDClasScheduler::UncoordinatedDClasScheduler(DClasConfig config,
-                                                         util::Seconds quantum)
-    : config_(std::move(config)), quantum_(quantum) {
-  thresholds_ = config_.thresholds();
-}
-
-void UncoordinatedDClasScheduler::allocate(const sim::SimView& view,
-                                           std::vector<util::Rate>& rates) {
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-  const int k = static_cast<int>(thresholds_.size()) + 1;
-
-  // Per-port view: coflows with their local attained service and flows.
-  struct PortCoflow {
-    std::size_t coflow_index;
-    util::Bytes local_sent = 0;
-    std::vector<std::size_t> flow_indices;
-  };
-  std::vector<std::vector<PortCoflow>> per_port(ports);
-  std::vector<std::unordered_map<std::size_t, std::size_t>> slot(ports);
-  for (const std::size_t fi : *view.active_flows) {
-    const sim::FlowState& f = view.flow(fi);
-    const auto p = static_cast<std::size_t>(f.src);
-    auto [it, inserted] = slot[p].try_emplace(f.coflow_index, per_port[p].size());
-    if (inserted) per_port[p].push_back(PortCoflow{f.coflow_index, 0, {}});
-    per_port[p][it->second].flow_indices.push_back(fi);
-  }
-  for (const ActiveCoflow& group : activeGroups(view, groups_scratch_)) {
-    const sim::CoflowState& c = view.coflow(group.coflow_index);
-    for (const std::size_t fi : c.flow_indices) {
-      const sim::FlowState& f = view.flow(fi);
-      if (!f.started || f.sent <= 0) continue;
-      const auto p = static_cast<std::size_t>(f.src);
-      const auto it = slot[p].find(group.coflow_index);
-      if (it != slot[p].end()) per_port[p][it->second].local_sent += f.sent;
-    }
-  }
-
-  // Each port independently: local queues, FIFO inside, weighted across.
-  // Flow weights are computed per port, then one global water-filling pass
-  // resolves egress contention.
-  std::vector<fabric::Demand>& demands = scratch_.demands;
+void allocatePerPortDClas(
+    const sim::SimView& view, const DClasConfig& config,
+    std::span<const util::Bytes> thresholds,
+    const std::function<util::Bytes(int, const PortCoflow&)>& size_at,
+    std::vector<ActiveCoflow>& groups_scratch, fabric::MaxMinScratch& scratch,
+    std::vector<util::Rate>& rates) {
+  const std::vector<std::vector<PortCoflow>> per_port =
+      portLocalCoflows(view, groups_scratch);
+  const std::size_t k = thresholds.size() + 1;
+  std::vector<fabric::Demand>& demands = scratch.demands;
   demands.clear();
   std::vector<std::size_t> chosen;
+  // Per queue, the FIFO-first coflow: the only one of the queue that sends.
+  std::vector<const PortCoflow*> heads(k);
   const coflow::CoflowIdFifoLess fifo_less;
-  for (std::size_t p = 0; p < ports; ++p) {
-    auto& queue_view = per_port[p];
-    if (queue_view.empty()) continue;
-    std::vector<std::vector<const PortCoflow*>> queues(static_cast<std::size_t>(k));
-    for (const PortCoflow& pc : queue_view) {
-      int q = 0;
-      while (q < static_cast<int>(thresholds_.size()) &&
-             pc.local_sent >= thresholds_[static_cast<std::size_t>(q)]) {
-        ++q;
+  for (std::size_t p = 0; p < per_port.size(); ++p) {
+    if (per_port[p].empty()) continue;
+    std::ranges::fill(heads, nullptr);
+    for (const PortCoflow& pc : per_port[p]) {
+      const PortCoflow*& head =
+          heads[static_cast<std::size_t>(
+              queueForSize(thresholds, size_at(static_cast<int>(p), pc)))];
+      if (head == nullptr || fifo_less(view.coflow(pc.coflow_index).id,
+                                       view.coflow(head->coflow_index).id)) {
+        head = &pc;
       }
-      queues[static_cast<std::size_t>(q)].push_back(&pc);
     }
     double total_weight = 0;
-    for (int q = 0; q < k; ++q) {
-      if (!queues[static_cast<std::size_t>(q)].empty()) {
-        total_weight += config_.queueWeight(q);
-      }
+    for (std::size_t q = 0; q < k; ++q) {
+      if (heads[q] != nullptr) total_weight += config.queueWeight(static_cast<int>(q));
     }
-    for (int q = 0; q < k; ++q) {
-      auto& members = queues[static_cast<std::size_t>(q)];
-      if (members.empty()) continue;
-      // FIFO: only the queue's locally-first coflow sends.
-      const PortCoflow* head = *std::min_element(
-          members.begin(), members.end(),
-          [&](const PortCoflow* a, const PortCoflow* b) {
-            return fifo_less(view.coflow(a->coflow_index).id,
-                             view.coflow(b->coflow_index).id);
-          });
-      const double share = config_.queueWeight(q) / total_weight;
+    for (std::size_t q = 0; q < k; ++q) {
+      if (heads[q] == nullptr) continue;
       // The head's flows split the queue's port share equally.
+      const double share = config.queueWeight(static_cast<int>(q)) / total_weight;
       const double flow_weight =
-          share / static_cast<double>(head->flow_indices.size());
-      for (const std::size_t fi : head->flow_indices) {
+          share / static_cast<double>(heads[q]->flow_indices.size());
+      for (const std::size_t fi : heads[q]->flow_indices) {
         const sim::FlowState& f = view.flow(fi);
         demands.push_back(fabric::Demand{f.src, f.dst, flow_weight, fabric::kUncapped});
         chosen.push_back(fi);
@@ -94,10 +54,23 @@ void UncoordinatedDClasScheduler::allocate(const sim::SimView& view,
 
   fabric::ResidualCapacity residual(*view.fabric);
   const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(demands, residual, scratch_);
+      fabric::maxMinAllocate(demands, residual, scratch);
   for (std::size_t i = 0; i < chosen.size(); ++i) rates[chosen[i]] += shares[i];
-  // Work conservation, as the local daemons would do with TCP underneath.
-  backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
+  backfillMaxMin(view, *view.active_flows, residual, rates, scratch);
+}
+
+UncoordinatedDClasScheduler::UncoordinatedDClasScheduler(DClasConfig config,
+                                                         util::Seconds quantum)
+    : config_(std::move(config)), quantum_(quantum) {
+  thresholds_ = config_.thresholds();
+}
+
+void UncoordinatedDClasScheduler::allocate(const sim::SimView& view,
+                                           std::vector<util::Rate>& rates) {
+  allocatePerPortDClas(
+      view, config_, thresholds_,
+      [](int /*port*/, const PortCoflow& pc) { return pc.local_sent; },
+      groups_scratch_, scratch_, rates);
 }
 
 util::Seconds UncoordinatedDClasScheduler::nextWakeup(const sim::SimView& view) {

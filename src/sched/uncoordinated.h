@@ -9,10 +9,26 @@
 // produces convoy effects and stragglers — the Theorem A.1 pathology.
 #pragma once
 
+#include <functional>
+#include <span>
+
 #include "sched/common.h"
 #include "sched/dclas.h"
 
 namespace aalo::sched {
+
+/// Per-port D-CLAS, shared with the gossip variant (sched/gossip.h), which
+/// differs only in what a port knows of a coflow's size, `size_at`. Each
+/// port queues its coflows by that size and splits each non-empty queue's
+/// weighted share of the port among the flows of the queue's FIFO-first
+/// coflow; one max-min pass resolves egress contention, a second backfills
+/// every active flow. Adds to `rates`; `config`'s policy and Δ are unused.
+void allocatePerPortDClas(
+    const sim::SimView& view, const DClasConfig& config,
+    std::span<const util::Bytes> thresholds,
+    const std::function<util::Bytes(int, const PortCoflow&)>& size_at,
+    std::vector<ActiveCoflow>& groups_scratch, fabric::MaxMinScratch& scratch,
+    std::vector<util::Rate>& rates);
 
 class UncoordinatedDClasScheduler final : public sim::Scheduler {
  public:

@@ -12,12 +12,18 @@
 //  3. LP bound: the offline lower bound (sched/lp_bound.h) never exceeds
 //     any live scheduler's achieved total CCT, across 200 fuzzed traces
 //     with barriers, pipelines, multi-wave offsets, and deadlines.
+//  4. Catalogue: every name in sched/catalog.h builds a scheduler that
+//     finishes the deadlined golden trace at or above the LP bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "sched/catalog.h"
 #include "sched/dclas.h"
 #include "sched/dcoflow.h"
 #include "sched/fair.h"
@@ -30,6 +36,11 @@
 #include "util/rng.h"
 #include "workload/deadlines.h"
 #include "workload/facebook.h"
+#include "workload/trace_io.h"
+
+#ifndef AALO_TEST_DATA_DIR
+#error "AALO_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace aalo {
 namespace {
@@ -251,6 +262,34 @@ TEST(SchedProperty, LpBoundNeverExceedsAchievedTotalCct) {
           << " achieved " << achieved << " < bound " << bound.total_cct;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Scheduler catalogue
+// ---------------------------------------------------------------------------
+
+// aalo_sim --lp-check for every catalogue name, not only the few the CI
+// smoke passes: each scheduler finishes every coflow of the deadlined
+// golden trace, and none beats the LP lower bound.
+TEST(SchedulerCatalog, EveryNameFinishesAboveLpBound) {
+  const coflow::Workload wl = workload::readTraceFile(
+      std::string(AALO_TEST_DATA_DIR) + "/golden_deadline_50.trace");
+  const fabric::FabricConfig fc{wl.num_ports, util::kGbps};
+  const sched::LpBoundResult bound = sched::computeCctLowerBound(wl, fc);
+  ASSERT_GT(bound.total_cct, 0.0);
+
+  const std::vector<std::string_view> names = sched::schedulerNames();
+  EXPECT_EQ(names.size(), 15u);
+  for (const std::string_view name : names) {
+    const auto scheduler = sched::makeScheduler(name, wl);
+    const sim::SimResult result = sim::runSimulation(wl, fc, *scheduler);
+    ASSERT_EQ(result.coflows.size(), wl.coflowCount()) << name;
+    for (const auto& rec : result.coflows) {
+      EXPECT_TRUE(std::isfinite(rec.finish) && rec.finish >= rec.release) << name;
+    }
+    EXPECT_GE(result.totalCct(), bound.total_cct * (1.0 - 1e-6)) << name;
+  }
+  EXPECT_THROW(sched::makeScheduler("no-such-scheduler", wl), std::invalid_argument);
 }
 
 }  // namespace

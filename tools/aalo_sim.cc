@@ -8,10 +8,10 @@
 // PATH may be an aalo-trace file or a public coflow-benchmark trace
 // (e.g. FB2010-1Hr-150-0.txt) — the format is auto-detected.
 //
-// LIST is comma-separated from: aalo, aalo-strict, aalo-adaptive, fair,
-// varys, fifo, fifo-spill, fifo-lm, las, sampling, dcoflow,
-// uncoordinated, gossip, clas, offline (default: "aalo,fair,varys").
-// --scheduler is an alias for --sched.
+// LIST is comma-separated names from the scheduler catalogue,
+// sched::schedulerNames() in src/sched/catalog.h (default
+// "aalo,fair,varys"); --scheduler is an alias for --sched. --delta SEC is
+// the coordination interval of "aalo" only; other schedulers ignore it.
 //
 // --deadline-slack X assigns every coflow a deadline of its isolated
 // bottleneck time x (1 + uniform(0, X)) before the runs (for traces cut
@@ -42,6 +42,7 @@
 // rounds, allocation reuse, heap rebuilds, CCT histograms, and — for the
 // D-CLAS schedulers — per-queue occupancy sampled at every allocation
 // round.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -55,20 +56,10 @@
 
 #include "analysis/compare.h"
 #include "obs/metrics.h"
-#include "sched/adaptive.h"
-#include "sched/clas.h"
+#include "sched/catalog.h"
 #include "sched/dclas.h"
-#include "sched/dcoflow.h"
-#include "sched/fair.h"
-#include "sched/fifo.h"
-#include "sched/fifo_lm.h"
-#include "sched/gossip.h"
-#include "sched/las.h"
 #include "sched/lp_bound.h"
-#include "sched/offline_opt.h"
 #include "sched/sampling.h"
-#include "sched/uncoordinated.h"
-#include "sched/varys.h"
 #include "sim/batch.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
@@ -87,80 +78,6 @@ namespace {
                "                [--jobs N] [--stats] [--metrics-dump PATH]\n"
                "                [--deadline-slack X] [--lp-bound] [--lp-check]\n");
   std::exit(2);
-}
-
-/// Validated before the batch starts so an unknown name fails fast in the
-/// main thread instead of exiting from a worker.
-bool knownScheduler(const std::string& name) {
-  static const char* const kNames[] = {
-      "aalo", "aalo-strict", "aalo-adaptive", "fair",   "varys",
-      "fifo", "fifo-spill",  "fifo-lm",       "las",    "sampling",
-      "dcoflow", "uncoordinated", "gossip",   "clas",   "offline"};
-  for (const char* const n : kNames) {
-    if (name == n) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<sim::Scheduler> makeScheduler(const std::string& name,
-                                              const coflow::Workload& wl,
-                                              double delta) {
-  if (name == "aalo") {
-    sched::DClasConfig cfg;
-    cfg.sync_interval = delta;
-    return std::make_unique<sched::DClasScheduler>(cfg);
-  }
-  if (name == "aalo-strict") {
-    sched::DClasConfig cfg;
-    cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    return std::make_unique<sched::DClasScheduler>(cfg);
-  }
-  if (name == "aalo-adaptive") {
-    return std::make_unique<sched::AdaptiveDClasScheduler>(sched::AdaptiveConfig{});
-  }
-  if (name == "fair") return std::make_unique<sched::PerFlowFairScheduler>();
-  if (name == "varys") return std::make_unique<sched::VarysScheduler>();
-  if (name == "fifo") return std::make_unique<sched::FifoScheduler>();
-  if (name == "fifo-spill") {
-    return std::make_unique<sched::FifoScheduler>(sched::FifoConfig{true});
-  }
-  if (name == "fifo-lm") {
-    util::Summary sizes;
-    for (const auto& job : wl.jobs) {
-      for (const auto& c : job.coflows) sizes.add(c.totalBytes());
-    }
-    sched::FifoLmConfig cfg;
-    cfg.heavy_threshold = sizes.percentile(80);
-    cfg.quantum = 2.0;
-    return std::make_unique<sched::FifoLmScheduler>(cfg);
-  }
-  if (name == "las") {
-    sched::LasConfig cfg;
-    cfg.quantum = 2.0;
-    return std::make_unique<sched::DecentralizedLasScheduler>(cfg);
-  }
-  if (name == "sampling") {
-    return std::make_unique<sched::SamplingScheduler>(sched::SamplingConfig{});
-  }
-  if (name == "dcoflow") {
-    return std::make_unique<sched::DCoflowScheduler>(sched::DCoflowConfig{});
-  }
-  if (name == "uncoordinated") {
-    return std::make_unique<sched::UncoordinatedDClasScheduler>(sched::DClasConfig{},
-                                                                2.0);
-  }
-  if (name == "gossip") {
-    return std::make_unique<sched::GossipDClasScheduler>(sched::GossipConfig{});
-  }
-  if (name == "clas") {
-    return std::make_unique<sched::ContinuousClasScheduler>(sched::ClasConfig{});
-  }
-  if (name == "offline") {
-    return std::make_unique<sched::OfflineOrderScheduler>(
-        sched::computeConcurrentOpenShopOrder(wl));
-  }
-  std::fprintf(stderr, "unknown scheduler '%s'\n", name.c_str());
-  usage();
 }
 
 /// Folds a run's per-round queue samples into the registry: an occupancy
@@ -324,7 +241,9 @@ int main(int argc, char** argv) {
     std::string name;
     while (std::getline(names, name, ',')) {
       if (name.empty()) continue;
-      if (!knownScheduler(name)) {
+      // Validated before the batch starts so an unknown name fails fast in
+      // the main thread instead of throwing from a worker.
+      if (std::ranges::count(sched::schedulerNames(), name) == 0) {
         std::fprintf(stderr, "unknown scheduler '%s'\n", name.c_str());
         usage();
       }
@@ -356,7 +275,7 @@ int main(int argc, char** argv) {
     job.workload = &wl;
     job.fabric = fc;
     job.make_scheduler = [&wl, name, delta, sink, sampling_sink] {
-      auto scheduler = makeScheduler(name, wl, delta);
+      auto scheduler = sched::makeScheduler(name, wl, delta);
       if (sink != nullptr) {
         if (auto* dclas = dynamic_cast<sched::DClasScheduler*>(scheduler.get())) {
           dclas->setTelemetry(sink);
