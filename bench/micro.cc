@@ -330,38 +330,34 @@ void BM_EventHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_EventHeap)->Arg(64)->Arg(512)->Arg(4096);
 
-// The engine's integration sweep in isolation: pass 1 is the vectorizable
-// min/add over the slot-packed SoA columns, pass 2 scatters the deltas
-// into per-coflow totals — byte-for-byte the loop in executeIncremental.
-// Sizes are set far above what the sweep can drain during the bench, so
-// the min never clamps and every iteration does identical work.
+// The engine's integration sweep in isolation: one pass over the running
+// slots (ascending slot indices of nonzero-rate flows) doing the min/add
+// on the slot-packed SoA columns and scattering each delta into its
+// per-coflow total — byte-for-byte the loop in executeIncremental. Every
+// slot runs here. Sizes are set far above what the sweep can drain
+// during the bench, so the min never clamps and every iteration does
+// identical work.
 void BM_SoAIntegrate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(31);
-  std::vector<util::Rate> rate_col(n);
-  std::vector<util::Bytes> size_col(n), sent_col(n, 0.0), delta_col(n);
-  std::vector<std::uint32_t> slot_coflow(n);
+  std::vector<util::Rate> slot_rate(n);
+  std::vector<util::Bytes> slot_size(n), slot_sent(n, 0.0);
+  std::vector<std::uint32_t> slot_coflow(n), running(n);
   std::vector<util::Bytes> coflow_sent(n / 16 + 1, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
-    rate_col[k] = rng.uniform(0, util::kGbps / 8);
-    size_col[k] = 1e18;
+    slot_rate[k] = rng.uniform(0, util::kGbps / 8);
+    slot_size[k] = 1e18;
     slot_coflow[k] = static_cast<std::uint32_t>(k / 16);
+    running[k] = static_cast<std::uint32_t>(k);
   }
   const util::Seconds dt = 1e-3;
   for (auto _ : state) {
-    const util::Rate* __restrict rate = rate_col.data();
-    const util::Bytes* __restrict size = size_col.data();
-    util::Bytes* __restrict sent = sent_col.data();
-    util::Bytes* __restrict delta = delta_col.data();
-    for (std::size_t k = 0; k < n; ++k) {
-      const util::Bytes d = std::min(rate[k] * dt, size[k] - sent[k]);
-      sent[k] += d;
-      delta[k] = d;
+    for (const std::uint32_t k : running) {
+      const util::Bytes d = std::min(slot_rate[k] * dt, slot_size[k] - slot_sent[k]);
+      slot_sent[k] += d;
+      coflow_sent[slot_coflow[k]] += d;
     }
-    for (std::size_t k = 0; k < n; ++k) {
-      coflow_sent[slot_coflow[k]] += delta[k];
-    }
-    benchmark::DoNotOptimize(sent_col.data());
+    benchmark::DoNotOptimize(slot_sent.data());
     benchmark::DoNotOptimize(coflow_sent.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

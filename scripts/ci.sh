@@ -7,8 +7,8 @@
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched suites
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
-#   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
-#                            # + fig14 single-loop round-time smoke
+#   scripts/ci.sh perf       # Release perf gate: paired runs of HEAD and
+#                            # merge base + fig14 single-loop round-time smoke
 #   scripts/ci.sh coverage   # gcovr line-coverage report (if installed)
 #
 # The chaos suites (tests/chaos_test.cc, tests/runtime_robustness_test.cc,
@@ -32,9 +32,11 @@ cd "$(dirname "$0")/.."
 # Minimum acceptable line coverage for the coverage step (percent).
 COVERAGE_FAIL_UNDER=70
 
-# Allowed slowdown of BM_SimulatorEndToEnd/50 relative to the recorded
-# baseline median in BENCH_micro.json before the perf-smoke step fails.
+# Allowed slowdown of BM_SimulatorEndToEnd/50 built from HEAD relative
+# to the same benchmark built from the merge base, median against median
+# over PERF_PAIRS interleaved runs of each, before the perf step fails.
 PERF_SMOKE_TOLERANCE=1.5
+PERF_PAIRS=3
 
 run_default() {
   echo "=== default: configure + build + full suite ==="
@@ -105,39 +107,63 @@ run_tsan() {
 }
 
 run_perf() {
-  echo "=== perf-smoke: BM_SimulatorEndToEnd/50 vs recorded baseline ==="
-  # Guard against silent end-to-end regressions: run the mid-size
-  # simulator benchmark from an optimized build and fail if its median
-  # exceeds PERF_SMOKE_TOLERANCE x the committed BENCH_micro.json
-  # median. The bench must run in Release — a debug build would always
-  # trip the gate.
+  echo "=== perf: BM_SimulatorEndToEnd/50, HEAD vs merge base, paired ==="
+  # Guard against silent end-to-end regressions with a paired A/B on this
+  # host: build the benchmark from HEAD's working tree and from the merge
+  # base with origin/main (HEAD~1 when there is none, or when HEAD is the
+  # merge base), both in Release, then run the two binaries alternately
+  # so host load and frequency drift hit both sides alike. An absolute
+  # median recorded on another host (BENCH_micro.json) is no gate.
   cmake --preset release >/dev/null
   cmake --build --preset release -j "$(nproc)" --target bench_micro
-  ./build-release/bench/bench_micro \
-    --benchmark_filter='^BM_SimulatorEndToEnd/50$' \
-    --benchmark_repetitions=3 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_format=json >build-release/perf_smoke.json
-  python3 - "$PERF_SMOKE_TOLERANCE" <<'EOF'
-import json, sys
+  local head base
+  head=$(git rev-parse HEAD)
+  base=$(git merge-base HEAD origin/main 2>/dev/null || true)
+  if [ -z "$base" ] || [ "$base" = "$head" ]; then base=$(git rev-parse HEAD~1); fi
+  local base_dir="build-perf-base/${base}"
+  if [ ! -d "${base_dir}/src" ]; then
+    mkdir -p "${base_dir}/src"
+    git archive "$base" | tar -x -C "${base_dir}/src"
+  fi
+  cmake -S "${base_dir}/src" -B "${base_dir}/build" -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "${base_dir}/build" -j "$(nproc)" --target bench_micro
+  echo "perf: base ${base}"
+  local i side bin
+  for i in $(seq 1 "$PERF_PAIRS"); do
+    for side in base head; do
+      if [ "$side" = base ]; then
+        bin="${base_dir}/build/bench/bench_micro"
+      else
+        bin=./build-release/bench/bench_micro
+      fi
+      "$bin" --benchmark_filter='^BM_SimulatorEndToEnd/50$' \
+        --benchmark_format=json >"build-release/perf_${side}_${i}.json"
+    done
+  done
+  python3 - "$PERF_SMOKE_TOLERANCE" "$PERF_PAIRS" <<'EOF'
+import json, statistics, sys
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-def median_ns(path):
+def time_ns(path):
     doc = json.load(open(path))
     for b in doc["benchmarks"]:
-        if b["name"] == "BM_SimulatorEndToEnd/50_median":
+        if b["name"] == "BM_SimulatorEndToEnd/50":
             return b["real_time"] * UNIT_NS[b.get("time_unit", "ns")]
-    raise SystemExit(f"perf-smoke: no BM_SimulatorEndToEnd/50_median in {path}")
+    raise SystemExit(f"perf: no BM_SimulatorEndToEnd/50 in {path}")
 
-tolerance = float(sys.argv[1])
-base = median_ns("BENCH_micro.json")
-cur = median_ns("build-release/perf_smoke.json")
-ratio = cur / base
-print(f"perf-smoke: median {cur / 1e6:.1f} ms vs baseline {base / 1e6:.1f} ms "
+tolerance, pairs = float(sys.argv[1]), int(sys.argv[2])
+runs = {side: [time_ns(f"build-release/perf_{side}_{i}.json")
+               for i in range(1, pairs + 1)] for side in ("base", "head")}
+base = statistics.median(runs["base"])
+head = statistics.median(runs["head"])
+ratio = head / base
+for side in ("base", "head"):
+    print(f"perf: {side} runs " + ", ".join(f"{t / 1e6:.1f}" for t in runs[side]) + " ms")
+print(f"perf: median {head / 1e6:.1f} ms vs base {base / 1e6:.1f} ms "
       f"(ratio {ratio:.2f}, limit {tolerance:.2f})")
 if ratio > tolerance:
-    raise SystemExit("perf-smoke: FAIL — end-to-end benchmark regressed")
+    raise SystemExit("perf: FAIL — end-to-end benchmark regressed against the merge base")
 EOF
   echo "=== perf-smoke: fig14 coordinator round time @1000 daemons ==="
   # The single coordinator loop must complete timed broadcast rounds at

@@ -41,6 +41,7 @@ class FifoScheduler final : public sim::Scheduler {
 
  private:
   FifoConfig config_;
+  fabric::ResidualCapacity residual_;
   fabric::MaxMinScratch scratch_;
   std::vector<ActiveCoflow> groups_scratch_;
   std::vector<const ActiveCoflow*> order_;

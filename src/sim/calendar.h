@@ -28,10 +28,11 @@
 // times to 1e-9 and round counts exactly.
 //
 // Tie-break contract: the calendar orders same-time events by flow index
-// (ascending) purely for heap determinism. Which flows actually complete
-// in a round — and in which order — is decided by the engine's completion
-// sweep, which scans active flows in the legacy engine's exact order; see
-// DESIGN.md section 7.
+// (ascending) purely for heap determinism. The snap heap only nominates
+// the sweep's candidates; which of them complete in a round — and in
+// which order — is decided by the engine's completion sweep, which
+// applies the legacy condition and completes them in the legacy scan's
+// exact order; see DESIGN.md section 7.
 #pragma once
 
 #include <algorithm>

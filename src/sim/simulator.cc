@@ -62,7 +62,12 @@ class Run {
   SimResult executeIncremental();
   void installAllocation(const SimView& view);
   void rekeyFlow(std::size_t fi, util::Bytes remaining, util::Bytes slack);
+  bool completesNow(std::size_t k) const;
+  void completeSlot(std::size_t k);
   void sweepCompletions();
+  void mergeRunning(const std::vector<std::uint32_t>& touched);
+  void markCoflowDirty(std::size_t ci);
+  void verifyRound() const;
 
   static util::Bytes slackFor(util::Bytes size) {
     return std::max(kCompletionSlackBytes, 1e-9 * size);
@@ -103,17 +108,26 @@ class Run {
   // Between installs slot_sent_ is the *canonical* attained service of
   // active flows — the arena column is synced at install rounds (before
   // the scheduler reads it) and at completions, which the scheduleEpoch
-  // contract already permits. Packing turns the per-round integration
-  // into contiguous, branch-light passes the compiler vectorizes.
+  // contract already permits. Only *running* slots (rate > 0, listed in
+  // running_ in ascending slot order) ever move between installs, so the
+  // per-round passes walk running_ instead of every active slot: under
+  // head-of-line schedulers most active flows sit blocked at rate 0.
   std::vector<util::Rate> slot_rate_;
   std::vector<util::Bytes> slot_sent_;
   std::vector<util::Bytes> slot_size_;
-  std::vector<util::Bytes> slot_delta_;
   std::vector<std::uint32_t> slot_coflow_;
   std::vector<std::size_t> slot_of_;     ///< flow index -> current slot.
+  std::vector<std::uint32_t> running_;   ///< Ascending {k : slot_rate_[k] > 0}.
+  std::vector<std::uint32_t> running_scratch_;  ///< mergeRunning scratch.
   std::vector<std::uint32_t> snap_due_;  ///< drainSnapDue scratch.
   std::vector<std::uint32_t> completion_due_;  ///< collectCompletionsNear scratch.
   std::vector<std::uint32_t> changed_slots_;   ///< installAllocation scratch.
+  std::vector<std::uint32_t> sweep_slots_;     ///< sweepCompletions scratch.
+  std::vector<std::uint32_t> swept_slots_;     ///< sweepCompletions scratch.
+  // Coflows whose aggregate rate may have moved since the last install:
+  // a member's rate changed, or a member was released or completed.
+  std::vector<std::uint32_t> dirty_coflows_;
+  std::vector<std::uint8_t> coflow_dirty_;
   bool installed_ = false;
   std::uint64_t installed_index_epoch_ = 0;
   std::uint64_t installed_sched_epoch_ = 0;
@@ -219,12 +233,14 @@ void Run::releaseFlow(std::size_t fi) {
                         flows_.dst_port[fi]);
   coflows_[flows_.coflow_of[fi]].size_released += flows_.size_bytes[fi];
   if (incremental_) {
+    // A released flow has no rate until the next install, so its slot
+    // does not join running_.
     slot_of_[fi] = slot_rate_.size();
     slot_rate_.push_back(flows_.rate[fi]);
     slot_sent_.push_back(flows_.sent_bytes[fi]);
     slot_size_.push_back(flows_.size_bytes[fi]);
-    slot_delta_.push_back(0.0);
     slot_coflow_.push_back(flows_.coflow_of[fi]);
+    markCoflowDirty(flows_.coflow_of[fi]);
     // Flows born inside the completion slack (zero/dust sizes) never get
     // a rate change to re-key them — arm the sweep gate here, exactly as
     // the legacy engine's unconditional sweep would catch them.
@@ -407,7 +423,7 @@ SimResult Run::executeLegacy() {
 // finish time with identical round counts
 // (tests/engine_equivalence_test.cc holds every scheduler to that bar).
 // The per-round integration arithmetic — expression, order, and the
-// completion-sweep scan order — is kept exactly the legacy loop's:
+// completion-sweep order — is kept exactly the legacy loop's:
 // schedulers that compare exact attained service (continuous CLAS's
 // sort, D-CLAS threshold back-dating) amplify drift into different
 // scheduling decisions. The engine's savings:
@@ -416,27 +432,31 @@ SimResult Run::executeLegacy() {
 //     active-index epoch, and schedulers opt in via scheduleEpoch().
 //     When both epochs match the installed pair, the round skips rate
 //     zeroing, allocate(), the rate copy, and verification outright.
-//  2. Per-coflow aggregate rates (SimView::coflow_rates), rebuilt once
-//     per install by summing flow rates in group flow-index order —
-//     bitwise equal to the per-flow fallback sum in
-//     coflowAggregateRate().
+//  2. Per-coflow aggregate rates (SimView::coflow_rates), refreshed at
+//     install for the coflows whose member rates or membership changed
+//     since the last install, by summing flow rates in group flow-index
+//     order — bitwise equal to the per-flow fallback sum in
+//     coflowAggregateRate(). An untouched group would sum the same
+//     values in the same order, so skipping it changes no bit.
 //  3. The event calendar (calendar.h). The legacy loop's two O(active)
 //     scans per round — the t_next division scan and the completion
-//     sweep — become a heap peek and a heap-gated sweep: per-flow
+//     sweep — become a heap peek and a candidate sweep: per-flow
 //     completion/snap predictions are computed once per rate change
-//     (lazily invalidated, so reused rounds re-key nothing) and the
-//     sweep only runs on rounds where some flow is predicted
-//     snap-eligible. Cached predictions drift from the legacy per-round
-//     recomputations by accumulated-rounding ulps; the completion slack
-//     (1e-3 bytes) and the gate's grace window absorb that drift, which
-//     is what keeps the round structure identical.
-//  4. Slot-packed SoA integration. Active flows' (rate, sent, size) live
-//     in dense arrays aligned with active_flows_, so the one remaining
-//     per-round O(active) pass — rate integration — is a contiguous,
-//     branch-light loop (min/add; rate-0 flows contribute an exact +0.0,
-//     bitwise identical to the legacy skip), followed by a scalar
-//     scatter of the deltas into per-coflow totals in the same order the
-//     legacy loop accumulates them.
+//     (lazily invalidated, so reused rounds re-key nothing), and only
+//     the flows the snap heap drains (predicted snap-eligible) are
+//     examined for completion. Cached predictions drift from the legacy
+//     per-round recomputations by accumulated-rounding ulps; the
+//     completion slack (1e-3 bytes) and the gate's grace window absorb
+//     that drift, which is what keeps the round structure identical.
+//  4. Running-slot integration. Active flows' (rate, sent, size) live in
+//     dense arrays aligned with active_flows_, and running_ lists the
+//     slots with a nonzero rate in ascending order. Integration, the
+//     per-coflow scatter and the pre-allocate copy-back of attained
+//     service walk running_ only: a rate-0 slot would add an exact +0.0
+//     (the legacy loop skips it), so visiting the running slots in
+//     ascending order reproduces every bit. running_ is merged with
+//     changed_slots_ at install and renumbered after swap-removes, both
+//     O(running + changed).
 
 void Run::rekeyFlow(std::size_t fi, util::Bytes remaining, util::Bytes slack) {
   calendar_.invalidate(fi);
@@ -454,13 +474,43 @@ void Run::rekeyFlow(std::size_t fi, util::Bytes remaining, util::Bytes slack) {
   }
 }
 
+void Run::markCoflowDirty(std::size_t ci) {
+  if (coflow_dirty_[ci] != 0) return;
+  coflow_dirty_[ci] = 1;
+  dirty_coflows_.push_back(static_cast<std::uint32_t>(ci));
+}
+
+void Run::mergeRunning(const std::vector<std::uint32_t>& touched) {
+  // running_ and `touched` are both ascending. Untouched running slots
+  // are copied over in blocks; every touched slot is re-read from
+  // slot_rate_. Slots at or past the end of the active range (vacated by
+  // swap-removes) drop out. O(running + touched log running).
+  const auto n = static_cast<std::uint32_t>(active_flows_.size());
+  running_scratch_.clear();
+  auto r = running_.begin();
+  for (const std::uint32_t t : touched) {
+    if (t >= n) break;
+    const auto stop = std::lower_bound(r, running_.end(), t);
+    running_scratch_.insert(running_scratch_.end(), r, stop);
+    r = stop;
+    if (r != running_.end() && *r == t) ++r;
+    if (slot_rate_[t] > 0) running_scratch_.push_back(t);
+  }
+  running_scratch_.insert(running_scratch_.end(), r,
+                          std::lower_bound(r, running_.end(), n));
+  running_.swap(running_scratch_);
+}
+
 void Run::installAllocation(const SimView& view) {
   ++allocate_calls_;
   // Materialize attained service for the scheduler: slot_sent_ is the
   // canonical copy between installs (the legacy engine updates the
-  // per-flow field directly). rates_ needs no zeroing here — the rate
-  // copy-back loop below re-zeroes each entry as it reads it.
-  for (std::size_t k = 0; k < active_flows_.size(); ++k) {
+  // per-flow field directly). Only running slots were integrated since
+  // the last copy-back — a slot leaves running_ at an install, after
+  // this copy, or by completing, which writes the arena itself. rates_
+  // needs no zeroing here — the rate copy-back loop below re-zeroes each
+  // entry as it reads it.
+  for (const std::uint32_t k : running_) {
     flows_.sent_bytes[active_flows_[k]] = slot_sent_[k];
   }
   scheduler_.allocate(view, rates_);
@@ -479,8 +529,10 @@ void Run::installAllocation(const SimView& view) {
       flows_.rate[fi] = rate;
       slot_rate_[k] = rate;
       changed_slots_.push_back(static_cast<std::uint32_t>(k));
+      markCoflowDirty(slot_coflow_[k]);
     }
   }
+  mergeRunning(changed_slots_);
   if (2 * changed_slots_.size() > active_flows_.size()) {
     // Most rates moved (the common case right after a membership change:
     // water-filling redistributes globally). Re-keying those one sift-up
@@ -489,6 +541,7 @@ void Run::installAllocation(const SimView& view) {
     // and leaves both heaps fully valid. Recomputing an unchanged flow's
     // keys from current canonical state is safe — keys only nominate,
     // and the refreshed key equals this round's legacy expression.
+    ++heap_rebuilds_;
     calendar_.beginRebuild();
     for (std::size_t k = 0; k < active_flows_.size(); ++k) {
       const std::size_t fi = active_flows_[k];
@@ -514,57 +567,122 @@ void Run::installAllocation(const SimView& view) {
   // Aggregates in group flow-index order: coflowAggregateRate()'s
   // fallback sums in this exact order under the legacy engine, and
   // scheduler wake-up predictions need both engines to read bitwise-
-  // equal totals.
-  for (const ActiveGroup& g : active_index_.groups()) {
+  // equal totals. A coflow without a group keeps its last total.
+  for (const std::uint32_t ci : dirty_coflows_) {
+    coflow_dirty_[ci] = 0;
+    const ActiveGroup* g = active_index_.groupFor(ci);
+    if (g == nullptr) continue;
     util::Rate total = 0.0;
-    for (const std::size_t fi : g.flow_indices) total += flows_.rate[fi];
-    coflow_rate_[g.coflow_index] = total;
+    for (const std::size_t fi : g->flow_indices) total += flows_.rate[fi];
+    coflow_rate_[ci] = total;
   }
-  ++heap_rebuilds_;
+  dirty_coflows_.clear();
 
   installed_ = true;
   installed_index_epoch_ = active_index_.epoch();
   installed_sched_epoch_ = scheduler_.scheduleEpoch(view);
 }
 
+bool Run::completesNow(std::size_t k) const {
+  // The legacy engine's completion condition, over the slot-packed state.
+  // The second clause is the clock-resolution rule (see executeLegacy).
+  const util::Bytes remaining = slot_size_[k] - slot_sent_[k];
+  const util::Rate frate = slot_rate_[k];
+  return remaining <= slackFor(slot_size_[k]) ||
+         (frate > util::kEps && now_ + remaining / frate <= now_);
+}
+
+void Run::completeSlot(std::size_t k) {
+  const std::size_t fi = active_flows_[k];
+  const std::size_t ci = slot_coflow_[k];
+  coflows_[ci].sent += slot_size_[k] - slot_sent_[k];  // Account the snap.
+  flows_.sent_bytes[fi] = flows_.size_bytes[fi];
+  flows_.done[fi] = 1;
+  flows_.rate[fi] = 0;
+  calendar_.invalidate(fi);
+  active_flows_[k] = active_flows_.back();
+  active_flows_.pop_back();
+  slot_rate_[k] = slot_rate_.back();
+  slot_rate_.pop_back();
+  slot_sent_[k] = slot_sent_.back();
+  slot_sent_.pop_back();
+  slot_size_[k] = slot_size_.back();
+  slot_size_.pop_back();
+  slot_coflow_[k] = slot_coflow_.back();
+  slot_coflow_.pop_back();
+  if (k < active_flows_.size()) slot_of_[active_flows_[k]] = k;
+  active_index_.removeFlow(ci, fi);
+  markCoflowDirty(ci);
+  scheduler_.onFlowCompleted(makeView(), fi);
+  CoflowState& c = coflows_[ci];
+  if (++c.flows_done == c.flow_indices.size()) {
+    finishCoflow(ci);
+  }
+}
+
 void Run::sweepCompletions() {
-  // Legacy-identical completion condition and iteration order (scan with
-  // swap-remove re-examination), over the slot-packed state. The slot
-  // arrays shadow active_flows_ element-for-element, so same-time
-  // completions are processed in the exact order the legacy scan visits
-  // them — the ordering contract documented in DESIGN.md section 7.
-  for (std::size_t k = 0; k < active_flows_.size();) {
-    const util::Bytes remaining = slot_size_[k] - slot_sent_[k];
-    const util::Rate frate = slot_rate_[k];
-    if (remaining <= slackFor(slot_size_[k]) ||
-        (frate > util::kEps && now_ + remaining / frate <= now_)) {
-      const std::size_t fi = active_flows_[k];
-      const std::size_t ci = slot_coflow_[k];
-      coflows_[ci].sent += remaining;  // Account the snap.
-      flows_.sent_bytes[fi] = flows_.size_bytes[fi];
-      flows_.done[fi] = 1;
-      flows_.rate[fi] = 0;
-      calendar_.invalidate(fi);
-      active_flows_[k] = active_flows_.back();
-      active_flows_.pop_back();
-      slot_rate_[k] = slot_rate_.back();
-      slot_rate_.pop_back();
-      slot_sent_[k] = slot_sent_.back();
-      slot_sent_.pop_back();
-      slot_size_[k] = slot_size_.back();
-      slot_size_.pop_back();
-      slot_coflow_[k] = slot_coflow_.back();
-      slot_coflow_.pop_back();
-      slot_delta_.pop_back();
-      if (k < active_flows_.size()) slot_of_[active_flows_[k]] = k;
-      active_index_.removeFlow(ci, fi);
-      scheduler_.onFlowCompleted(makeView(), fi);
-      CoflowState& c = coflows_[ci];
-      if (++c.flows_done == c.flow_indices.size()) {
-        finishCoflow(ci);
-      }
+  // Candidate sweep over the drained flows (snap_due_), reproducing the
+  // legacy scan-with-swap-remove order exactly. Nothing in a sweep moves
+  // rates or attained service, so each candidate's legacy condition can
+  // be decided up front. The legacy scan then completes the due slots in
+  // ascending position, except that a swap-remove moves the last slot
+  // into the completed one and re-examines it there: when that last slot
+  // is itself due (necessarily the largest due slot), it completes next,
+  // at the same position. Same-time completions are therefore processed
+  // in the legacy order — the contract documented in DESIGN.md section 7.
+  sweep_slots_.clear();
+  for (const std::uint32_t fi : snap_due_) {
+    const std::size_t k = slot_of_[fi];
+    if (completesNow(k)) sweep_slots_.push_back(static_cast<std::uint32_t>(k));
+  }
+  if (sweep_slots_.empty()) return;
+  std::sort(sweep_slots_.begin(), sweep_slots_.end());
+  swept_slots_.clear();
+  std::size_t lo = 0;
+  std::size_t hi = sweep_slots_.size();
+  while (lo < hi) {
+    const std::uint32_t k = sweep_slots_[lo];
+    const std::size_t last = active_flows_.size() - 1;
+    if (sweep_slots_[hi - 1] == last && last != k) {
+      --hi;  // The due last slot moves into k and completes there next.
     } else {
-      ++k;
+      ++lo;
+    }
+    if (swept_slots_.empty() || swept_slots_.back() != k) swept_slots_.push_back(k);
+    completeSlot(k);
+  }
+  mergeRunning(swept_slots_);
+}
+
+void Run::verifyRound() const {
+  // Per-round engine invariants, checked between integration and the
+  // sweep. running_ is exactly the ascending list of nonzero-rate slots.
+  std::size_t next = 0;
+  for (std::size_t k = 0; k < active_flows_.size(); ++k) {
+    if (slot_rate_[k] <= 0) continue;
+    if (next >= running_.size() || running_[next] != k) {
+      throw std::logic_error("Simulator: running-slot list out of sync");
+    }
+    ++next;
+  }
+  if (next != running_.size()) {
+    throw std::logic_error("Simulator: running-slot list out of sync");
+  }
+  // Every slot the legacy sweep would complete this round is a candidate.
+  std::vector<std::uint8_t> candidate(active_flows_.size(), 0);
+  for (const std::uint32_t fi : snap_due_) candidate[slot_of_[fi]] = 1;
+  for (std::size_t k = 0; k < active_flows_.size(); ++k) {
+    if (candidate[k] == 0 && completesNow(k)) {
+      throw std::logic_error("Simulator: completion-eligible flow missed the sweep (" +
+                             scheduler_.name() + ")");
+    }
+  }
+  // Every active coflow's aggregate is the fresh group-order sum.
+  for (const ActiveGroup& g : active_index_.groups()) {
+    util::Rate total = 0.0;
+    for (const std::size_t fi : g.flow_indices) total += flows_.rate[fi];
+    if (total != coflow_rate_[g.coflow_index]) {
+      throw std::logic_error("Simulator: stale coflow aggregate rate");
     }
   }
 }
@@ -572,6 +690,7 @@ void Run::sweepCompletions() {
 SimResult Run::executeIncremental() {
   scheduler_.reset(fabric_);
   coflow_rate_.assign(coflows_.size(), 0.0);
+  coflow_dirty_.assign(coflows_.size(), 0);
   calendar_.reset(flows_.size());
   slot_of_.assign(flows_.size(), 0);
   processDueEvents();  // Releases everything due at t = 0.
@@ -642,24 +761,16 @@ SimResult Run::executeIncremental() {
     t_next = std::max(t_next, now_);  // Guard against wake-ups in the past.
     if (t_next == next_completion) calendar_.noteEventProcessed();
 
-    // Integrate: contiguous passes over the slot-packed state. Pass 1 is
-    // the vectorizable min/add; pass 2 scatters deltas into per-coflow
-    // totals in slot (= legacy scan) order. A rate-0 flow's delta is an
-    // exact +0.0 — bitwise identical to the legacy `continue`.
+    // Integrate the running slots in ascending slot (= legacy scan)
+    // order, scattering each delta into its coflow's total as it goes —
+    // the legacy loop's expression and accumulation order. Rate-0 slots
+    // are skipped, exactly as the legacy loop skips them.
     const util::Seconds dt = t_next - now_;
     if (dt > 0) {
-      const std::size_t n = active_flows_.size();
-      const util::Rate* __restrict rate = slot_rate_.data();
-      const util::Bytes* __restrict size = slot_size_.data();
-      util::Bytes* __restrict sent = slot_sent_.data();
-      util::Bytes* __restrict delta = slot_delta_.data();
-      for (std::size_t k = 0; k < n; ++k) {
-        const util::Bytes d = std::min(rate[k] * dt, size[k] - sent[k]);
-        sent[k] += d;
-        delta[k] = d;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        coflows_[slot_coflow_[k]].sent += delta[k];
+      for (const std::uint32_t k : running_) {
+        const util::Bytes d = std::min(slot_rate_[k] * dt, slot_size_[k] - slot_sent_[k]);
+        slot_sent_[k] += d;
+        coflows_[slot_coflow_[k]].sent += d;
       }
     }
     now_ = t_next;
@@ -667,7 +778,9 @@ SimResult Run::executeIncremental() {
     // The relative term covers rounding in the predictions at large
     // now_, where one ulp can exceed the absolute kEps grace.
     const util::Seconds gate = now_ * (1.0 + 1e-12) + util::kEps;
-    if (calendar_.drainSnapDue(gate, snap_due_)) {
+    const bool any_due = calendar_.drainSnapDue(gate, snap_due_);
+    if (options_.verify_allocations) verifyRound();
+    if (any_due) {
       sweepCompletions();
       // Drained flows the sweep did not complete (the cached prediction
       // landed a hair early): refresh both keys from current canonical

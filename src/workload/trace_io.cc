@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -8,6 +9,11 @@
 namespace aalo::workload {
 
 namespace {
+
+// Counts on job/coflow lines come from the input, so reservations are
+// capped (well above any real coflow's width); a count the lines that
+// follow do not honour ends in a typed rejection, not in bad_alloc.
+constexpr std::size_t kMaxReserve = 65'536;
 
 std::string formatId(const coflow::CoflowId& id) { return id.toString(); }
 
@@ -88,6 +94,7 @@ coflow::Workload readTrace(std::istream& is) {
   bool header_seen = false;
   coflow::JobSpec* job = nullptr;
   coflow::CoflowSpec* cf = nullptr;
+  std::size_t coflows_expected = 0;
   std::size_t flows_expected = 0;
 
   auto fail = [&](const std::string& why) -> void {
@@ -119,12 +126,17 @@ coflow::Workload readTrace(std::istream& is) {
       if (cf != nullptr && flows_expected != cf->flows.size()) {
         fail("previous coflow has missing flows");
       }
+      if (job != nullptr && coflows_expected != job->coflows.size()) {
+        fail("previous job has missing coflows");
+      }
+      coflows_expected = num_coflows;
       wl.jobs.push_back(std::move(j));
       job = &wl.jobs.back();
-      job->coflows.reserve(num_coflows);
+      job->coflows.reserve(std::min(num_coflows, kMaxReserve));
       cf = nullptr;
     } else if (kind == "coflow") {
       if (job == nullptr) fail("coflow before any job");
+      if (job->coflows.size() >= coflows_expected) fail("more coflows than declared");
       if (cf != nullptr && flows_expected != cf->flows.size()) {
         fail("previous coflow has missing flows");
       }
@@ -150,7 +162,7 @@ coflow::Workload readTrace(std::istream& is) {
           fail("unknown coflow attribute '" + extra + "'");
         }
       }
-      c.flows.reserve(flows_expected);
+      c.flows.reserve(std::min(flows_expected, kMaxReserve));
       job->coflows.push_back(std::move(c));
       cf = &job->coflows.back();
     } else if (kind == "flow") {
@@ -165,6 +177,9 @@ coflow::Workload readTrace(std::istream& is) {
   }
   if (cf != nullptr && flows_expected != cf->flows.size()) {
     throw std::runtime_error("trace: last coflow has missing flows");
+  }
+  if (job != nullptr && coflows_expected != job->coflows.size()) {
+    throw std::runtime_error("trace: last job has missing coflows");
   }
   wl.validate();
   return wl;

@@ -7,11 +7,16 @@
 //    retained full-rebuild oracle after arbitrary arrival / demotion /
 //    completion sequences;
 //  - reuse must actually happen (and be accounted) where the design says
-//    it can: Δ > 0 sync boundaries with no demotion.
+//    it can: Δ > 0 sync boundaries with no demotion;
+//  - the running-slot passes and the candidate completion sweep must be
+//    bit-identical to legacy on blocked backlogs, dust flows and
+//    same-round completions (every run here verifies, per round, the
+//    running list and that no completion-eligible flow misses the sweep).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sched/adaptive.h"
@@ -443,6 +448,153 @@ TEST(EngineFuzz, SubUlpRemainingCompletesInsteadOfSpinning) {
         << "incremental=" << incremental;
     EXPECT_NEAR(result.makespan, 200000.0, 1e-6)
         << "incremental=" << incremental;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Running-slot engine: blocked backlogs and candidate-driven sweeps
+// ---------------------------------------------------------------------------
+
+/// Legacy and incremental runs must agree on the round count and on every
+/// finish time to the bit (both engines integrate and sweep with the same
+/// expressions in the same order).
+void expectBitIdentical(const sim::SimResult& legacy, const sim::SimResult& incr,
+                        const std::string& label) {
+  EXPECT_EQ(legacy.allocation_rounds, incr.allocation_rounds) << label;
+  EXPECT_EQ(legacy.makespan, incr.makespan) << label;
+  ASSERT_EQ(legacy.coflows.size(), incr.coflows.size()) << label;
+  for (std::size_t i = 0; i < legacy.coflows.size(); ++i) {
+    EXPECT_EQ(legacy.coflows[i].finish_own, incr.coflows[i].finish_own)
+        << label << " coflow " << i;
+    EXPECT_EQ(legacy.coflows[i].finish, incr.coflows[i].finish)
+        << label << " coflow " << i;
+  }
+}
+
+/// Forwards to an inner scheduler and records the order in which coflows
+/// finish — with single-flow coflows, the engine's completion order.
+class FinishOrderScheduler final : public sim::Scheduler {
+ public:
+  std::string name() const override { return inner_.name(); }
+  void reset(const fabric::Fabric& fabric) override {
+    inner_.reset(fabric);
+    order_.clear();
+  }
+  void onCoflowFinished(const sim::SimView& view, std::size_t ci) override {
+    order_.push_back(ci);
+    inner_.onCoflowFinished(view, ci);
+  }
+  std::uint64_t scheduleEpoch(const sim::SimView& view) override {
+    return inner_.scheduleEpoch(view);
+  }
+  void allocate(const sim::SimView& view, std::vector<util::Rate>& rates) override {
+    inner_.allocate(view, rates);
+  }
+  const std::vector<std::size_t>& order() const { return order_; }
+
+ private:
+  sched::PerFlowFairScheduler inner_;
+  std::vector<std::size_t> order_;
+};
+
+// FIFO without multiplexing on a deep backlog: 150 coflows released in
+// a few bursts on 8 ports, so nearly every active flow sits blocked at
+// rate 0 behind the head coflow for most of the run. The running-slot
+// engine skips those slots entirely; the trajectory must not move a bit.
+TEST(EngineFuzz, FifoHeadOnlyDeepBacklogIsBitIdentical) {
+  util::Rng rng(1717);
+  constexpr int kPorts = 8;
+  std::vector<coflow::JobSpec> jobs;
+  for (int j = 0; j < 150; ++j) {
+    coflow::JobSpec job;
+    job.id = j;
+    job.arrival = 0.25 * static_cast<double>(rng.uniformInt(0, 3));
+    coflow::CoflowSpec spec;
+    spec.id = {j, 0};
+    const int flows = static_cast<int>(rng.uniformInt(1, 12));
+    for (int f = 0; f < flows; ++f) {
+      spec.flows.push_back(coflow::FlowSpec{
+          static_cast<coflow::PortId>(rng.uniformInt(0, kPorts - 1)),
+          static_cast<coflow::PortId>(rng.uniformInt(0, kPorts - 1)),
+          rng.uniform(0.1, 6.0), rng.chance(0.2) ? rng.uniform(0.1, 3.0) : 0.0});
+    }
+    job.coflows.push_back(std::move(spec));
+    jobs.push_back(std::move(job));
+  }
+  const auto wl = testing::makeWorkload(kPorts, std::move(jobs));
+  const auto fc = testing::unitFabric(kPorts);
+  sched::FifoScheduler legacy_sched;
+  sched::FifoScheduler incr_sched;
+  const auto legacy = runEngine(wl, fc, legacy_sched, false);
+  const auto incr = runEngine(wl, fc, incr_sched, true);
+  expectBitIdentical(legacy, incr, "fifo deep backlog");
+  // Head-only FIFO serves one coflow at a time: at least one install per
+  // coflow, and the last coflow waits behind almost all the others.
+  EXPECT_GE(incr.allocate_calls, wl.coflowCount());
+  EXPECT_GT(incr.makespan, 100.0);
+}
+
+// Dust flows (inside the completion slack) released while the head
+// coflow owns the fabric: they enter at rate 0, are never installed a
+// rate, and must still complete in their release round, as the legacy
+// sweep completes them.
+TEST(EngineFuzz, DustFlowsReleasedAtRateZeroMatchLegacy) {
+  constexpr int kPorts = 4;
+  std::vector<coflow::JobSpec> jobs;
+  jobs.push_back(testing::makeJob(0, 0.0, {{0, 1, 50.0}, {2, 3, 40.0}}));
+  for (int j = 1; j <= 12; ++j) {
+    const auto p = static_cast<coflow::PortId>(j % kPorts);
+    const auto q = static_cast<coflow::PortId>((j + 1) % kPorts);
+    jobs.push_back(testing::makeJob(
+        j, 0.5 * j,
+        {{p, q, 1e-4}, {q, p, 5e-4, 0.3 * j}, {p, p, 3.0 * j}, {q, q, 1e-5, 2.0}}));
+  }
+  const auto wl = testing::makeWorkload(kPorts, std::move(jobs));
+  const auto fc = testing::unitFabric(kPorts);
+  for (const bool spillover : {false, true}) {
+    sched::FifoScheduler legacy_sched(sched::FifoConfig{spillover});
+    sched::FifoScheduler incr_sched(sched::FifoConfig{spillover});
+    const auto legacy = runEngine(wl, fc, legacy_sched, false);
+    const auto incr = runEngine(wl, fc, incr_sched, true);
+    expectBitIdentical(legacy, incr, spillover ? "dust spillover" : "dust head-only");
+  }
+}
+
+// Simultaneous completions whose swap-remove pulls a due last slot into
+// the completed one: the legacy scan re-examines that slot in place, so
+// the due last flow completes right after the first one, ahead of due
+// flows at lower slots. Single-flow coflows on disjoint port pairs under
+// per-flow fair share all run at rate 1, so equal sizes complete in the
+// same round; the coflow finish order exposes the sweep order.
+TEST(EngineFuzz, SwappedInDueSlotCompletesInLegacyOrder) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    util::Rng rng(880 + seed);
+    constexpr int kFlows = 16;
+    std::vector<coflow::JobSpec> jobs;
+    for (int j = 0; j < kFlows; ++j) {
+      // Mostly due at t = 4; the first and last slots are always due,
+      // and a few flows finish later so due and not-due slots interleave.
+      const bool due = j == 0 || j == kFlows - 1 || rng.chance(0.6);
+      const double bytes = due ? 4.0 : 9.0;
+      jobs.push_back(testing::makeJob(
+          j, 0.0,
+          {{static_cast<coflow::PortId>(2 * j), static_cast<coflow::PortId>(2 * j + 1),
+            bytes}}));
+    }
+    const auto wl = testing::makeWorkload(2 * kFlows, std::move(jobs));
+    const auto fc = testing::unitFabric(2 * kFlows);
+    FinishOrderScheduler legacy_sched;
+    FinishOrderScheduler incr_sched;
+    const auto legacy = runEngine(wl, fc, legacy_sched, false);
+    const auto incr = runEngine(wl, fc, incr_sched, true);
+    expectBitIdentical(legacy, incr, "seed " + std::to_string(seed));
+    EXPECT_EQ(legacy_sched.order(), incr_sched.order()) << "seed " << seed;
+    // Coflow 0 (slot 0) completes first, then the due last slot swapped
+    // into its place.
+    ASSERT_GE(incr_sched.order().size(), 2u);
+    EXPECT_EQ(incr_sched.order()[0], 0u) << "seed " << seed;
+    EXPECT_EQ(incr_sched.order()[1], static_cast<std::size_t>(kFlows - 1))
+        << "seed " << seed;
   }
 }
 

@@ -192,5 +192,22 @@ TEST(TraceFuzz, ZeroByteFlowsStayRejected) {
   EXPECT_ANY_THROW(workload::readTrace(is));
 }
 
+// Counts on job and coflow lines are claims, not allocations: a line
+// that claims 1e11 entries must end in the reader's typed rejection (the
+// entries never follow), not in bad_alloc from reserving them.
+TEST(TraceFuzz, HugeCoflowCountIsRejectedNotReserved) {
+  std::istringstream is(
+      "aalo-trace 1\nports 2\njob 0 0 0 100000000000\n"
+      "coflow 0.0 0 1\nflow 0 1 5 0\n");
+  EXPECT_THROW(workload::readTrace(is), std::runtime_error);
+}
+
+TEST(TraceFuzz, HugeFlowCountIsRejectedNotReserved) {
+  std::istringstream is(
+      "aalo-trace 1\nports 2\njob 0 0 0 1\n"
+      "coflow 0.0 0 100000000000\nflow 0 1 5 0\n");
+  EXPECT_THROW(workload::readTrace(is), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace aalo

@@ -309,6 +309,12 @@ TEST(TraceIo, RejectsMalformedInput) {
   EXPECT_THROW(parse("aalo-trace 1\nports 2\njob 0 0 0 1\ncoflow zzz 0 1\n"
                      "flow 0 1 5 0\n"),
                std::runtime_error);  // Bad coflow id.
+  EXPECT_THROW(parse("aalo-trace 1\nports 2\njob 0 0 0 2\ncoflow 0.0 0 1\n"
+                     "flow 0 1 5 0\n"),
+               std::runtime_error);  // Missing second coflow.
+  EXPECT_THROW(parse("aalo-trace 1\nports 2\njob 0 0 0 1\ncoflow 0.0 0 1\n"
+                     "flow 0 1 5 0\ncoflow 0.1 0 1\nflow 0 1 5 0\n"),
+               std::runtime_error);  // More coflows than declared.
 }
 
 TEST(TraceIo, IgnoresCommentsAndBlankLines) {
